@@ -15,7 +15,8 @@ frameworks  System baselines: DGL-like, GNNAdvisor-like, FeatGraph-like,
             and the TLPGNN engine.
 bench       Table/figure regeneration harness.
 obs         Observability: span tracer, event sink, metrics registry,
-            Chrome-trace timelines, profile archive + regression diff.
+            Chrome-trace timelines, profile archive, and one regression
+            engine (policy table + comparison) behind diff and regress.
 """
 
 __version__ = "1.0.0"

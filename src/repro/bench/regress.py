@@ -21,13 +21,14 @@ trajectory comparable:
    :func:`record_point` to append a trajectory point into the committed
    ``BENCH_serving.json`` / ``BENCH_table5.json`` trend stores;
 2. CI's perf-smoke job records a point at its small scale and
-3. ``repro regress`` recomputes the probe at HEAD and diffs against the
-   latest point whose config fingerprint matches (scale, seed, spec),
-   with the directional tolerances of :mod:`repro.obs.trend`.
+3. ``repro regress`` recomputes the probe at HEAD and compares it with
+   the latest point whose config fingerprint matches (scale, seed, spec)
+   through :func:`repro.obs.trend.compare_metrics` — the comparison
+   ``repro diff`` uses too.
 
 Everything is modeled time on the simulated clock, so probe metrics are
-bit-deterministic for a given config — the tolerances only absorb
-cross-platform float drift, not run-to-run noise.
+bit-deterministic for a given config — counters must match exactly and
+modeled floats within float noise (``rel=1e-9``).
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ report              regenerate every table & figure into one document
 roofline            roofline-classify every kernel of a system's pipeline
 trace               profile one cell and export a Chrome-trace timeline
                     (one track per simulated SM; Perfetto loadable)
-diff                compare two archived profile runs metric-by-metric;
-                    exit 1 when a counter regressed beyond tolerance
+diff                compare two archived profile runs metric-by-metric
+                    under regress's policy table (exact counters,
+                    float-noise bands, directional times and rates);
+                    exit 1 when a metric regressed
 serve               simulated online inference serving (open-loop trace,
                     dynamic batching, admission control, CUDA-like
                     streams); --compare runs the cross-system scenario;
@@ -29,7 +31,7 @@ metrics             Prometheus-style text exposition of serving metrics:
                     exemplars)
 regress             perf-regression observatory: re-run the recorded
                     probes at HEAD and compare against the BENCH_*.json
-                    trajectory (directional tolerances; exit 1 on
+                    trajectory (the same comparison as diff; exit 1 on
                     regression); --record appends a new trajectory point
 plan                lower one (dataset, model) cell and print each
                     system's ExecutionPlan (kernel list, balance choice,
@@ -70,7 +72,7 @@ import sys
 from .bench import ALL_EXPERIMENTS, BenchConfig, get_dataset, make_features, run_system
 from .frameworks import SYSTEMS
 from .gpusim import roofline
-from .obs import ProfileArchive, Tracer, diff_runs, load_run, set_tracer
+from .obs import ProfileArchive, Tracer, compare_metrics, load_run, set_tracer
 
 __all__ = ["main", "build_parser"]
 
@@ -499,14 +501,18 @@ def cmd_diff(args: argparse.Namespace, out) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return 2
-    result = diff_runs(baseline, candidate)
-    print(
-        f"baseline : {args.baseline} ({baseline['fingerprint']})\n"
+    diff = compare_metrics(baseline["metrics"], candidate["metrics"])
+    diff.header += [
+        f"baseline : {args.baseline} ({baseline['fingerprint']})",
         f"candidate: {args.candidate} ({candidate['fingerprint']})",
-        file=out,
-    )
-    print(result.render(), file=out)
-    return 0 if result.ok else 1
+    ]
+    if baseline["fingerprint"] != candidate["fingerprint"]:
+        diff.header.append(
+            "WARNING: config fingerprints differ — runs are not the same "
+            "workload; deltas below compare apples to oranges"
+        )
+    print(diff.render(), file=out)
+    return 0 if diff.ok else 1
 
 
 def cmd_experiment(args: argparse.Namespace, out) -> int:

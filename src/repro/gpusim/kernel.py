@@ -168,7 +168,7 @@ class PipelineStats:
 
     name: str
     kernels: list[KernelStats] = field(default_factory=list)
-    #: host-side pre-processing time (GNNAdvisor reordering etc.), seconds
+    #: one-off pre-processing time (GNNAdvisor reordering etc.), seconds
     preprocess_seconds: float = 0.0
 
     def add(self, stats: KernelStats) -> None:

@@ -2,13 +2,13 @@
 
 The paper criticizes this step as "heavy pre-processing" whose overhead can
 exceed the kernel-time it saves.  We implement the two classic strategies
-(degree sort and BFS locality ordering) and report their cost so the
-GNNAdvisor baseline's preprocessing overhead is accounted for.
+(degree sort and BFS locality ordering); the GNNAdvisor baseline's cost of
+the step is modeled in :func:`repro.frameworks.gnnadvisor.preprocess_seconds`,
+never timed.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +20,10 @@ __all__ = ["ReorderResult", "degree_sort", "bfs_locality", "identity_order"]
 
 @dataclass(frozen=True)
 class ReorderResult:
-    """A relabelled graph plus the permutation and the host time it cost."""
+    """A relabelled graph plus the permutation that produced it."""
 
     graph: CSRGraph
     perm: np.ndarray  # new id of old vertex v is perm[v]
-    seconds: float
     strategy: str
 
 
@@ -33,7 +32,6 @@ def identity_order(graph: CSRGraph) -> ReorderResult:
     return ReorderResult(
         graph=graph,
         perm=np.arange(graph.num_vertices, dtype=np.int64),
-        seconds=0.0,
         strategy="identity",
     )
 
@@ -44,7 +42,6 @@ def degree_sort(graph: CSRGraph, *, descending: bool = True) -> ReorderResult:
     Groups vertices of similar degree into the same warps/blocks, which is
     the locality/balance effect GNNAdvisor's reordering targets.
     """
-    t0 = time.perf_counter()
     deg = graph.in_degrees
     order = np.argsort(-deg if descending else deg, kind="stable")
     perm = np.empty(graph.num_vertices, dtype=np.int64)
@@ -53,7 +50,6 @@ def degree_sort(graph: CSRGraph, *, descending: bool = True) -> ReorderResult:
     return ReorderResult(
         graph=out,
         perm=perm,
-        seconds=time.perf_counter() - t0,
         strategy="degree_sort",
     )
 
@@ -66,7 +62,6 @@ def bfs_locality(graph: CSRGraph, *, source: int = 0) -> ReorderResult:
     pre-processing the paper describes.  Unreached vertices keep their
     relative order after all reached ones.
     """
-    t0 = time.perf_counter()
     n = graph.num_vertices
     # BFS over the undirected closure so disconnected direction doesn't stop
     # the frontier; use the symmetrized adjacency.
@@ -102,6 +97,5 @@ def bfs_locality(graph: CSRGraph, *, source: int = 0) -> ReorderResult:
     return ReorderResult(
         graph=out,
         perm=perm,
-        seconds=time.perf_counter() - t0,
         strategy="bfs_locality",
     )

@@ -4,8 +4,7 @@ Each vertex's neighbour list is pre-partitioned into fixed-size groups;
 each group is processed by one warp (feature-parallel lanes, like TLPGNN's
 second level) and the per-group partial result is merged into the vertex's
 row with ``atomicAdd`` — the atomic traffic Figure 8 charts.  Group-table
-construction is the pre-processing overhead the framework layer accounts
-for.
+construction is the pre-processing overhead the framework layer models.
 """
 
 from __future__ import annotations

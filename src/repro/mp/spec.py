@@ -105,9 +105,11 @@ class AttentionLogit:
             drawn_dst = F.xavier_uniform((f, 1), rng)[:, 0]
             a_src = drawn_src if a_src is None else a_src
             a_dst = drawn_dst if a_dst is None else a_dst
+        # einsum reduces in its own loop; a BLAS gemv's summation order,
+        # and so the output bytes, depends on the BLAS thread count
         return AttentionSpec(
-            att_src=(X @ a_src).astype(np.float32),
-            att_dst=(X @ a_dst).astype(np.float32),
+            att_src=np.einsum("ij,j->i", X, a_src).astype(np.float32),
+            att_dst=np.einsum("ij,j->i", X, a_dst).astype(np.float32),
             negative_slope=self.negative_slope,
         )
 

@@ -20,24 +20,20 @@ the stack auditable the way GPGPU-Sim-style workload studies are:
   :class:`~repro.gpusim.profiler.ProfileReport` and the cost model
   publish into, with a JSONL sink.
 * :mod:`~repro.obs.archive` — :class:`ProfileArchive` persists profiled
-  runs (schema version + config fingerprint) and a diff engine flags
-  counter regressions beyond per-metric tolerances.
+  runs (schema version + config fingerprint).
+* :mod:`~repro.obs.trend` — the one regression engine: a single policy
+  table (exact counters, float-noise bands on modeled floats, a
+  direction per metric), :func:`compare_metrics`, and the
+  :class:`TrendStore` trajectory of ``BENCH_*.json`` points.
 
 CLI: ``python -m repro trace`` writes a timeline (and optionally an
 archive entry); ``python -m repro diff`` compares two archived runs and
-exits non-zero on regression.
+``python -m repro regress`` compares HEAD's probes against the recorded
+trajectory — both through :func:`compare_metrics`, both exiting non-zero
+on regression.
 """
 
-from .archive import (
-    DEFAULT_TOLERANCES,
-    SCHEMA_VERSION,
-    DiffResult,
-    MetricDelta,
-    ProfileArchive,
-    config_fingerprint,
-    diff_runs,
-    load_run,
-)
+from .archive import SCHEMA_VERSION, ProfileArchive, config_fingerprint, load_run
 from .dashboard import render_top
 from .events import EventSink, get_event_sink, set_event_sink
 from .expose import render_prometheus
@@ -62,7 +58,7 @@ from .reqtrace import (
 )
 from .slo import SLO, BurnRateAlert, BurnRateRule, SLOMonitor, default_rules
 from .tracer import Span, Tracer, current_span, get_tracer, set_tracer, span
-from .trend import MetricPolicy, TrendDiff, TrendStore, git_rev
+from .trend import MetricPolicy, TrendDiff, TrendStore, compare_metrics, git_rev
 
 __all__ = [
     "Span",
@@ -97,16 +93,13 @@ __all__ = [
     "TrendStore",
     "TrendDiff",
     "MetricPolicy",
+    "compare_metrics",
     "git_rev",
     "render_top",
     "render_prometheus",
     "ProfileArchive",
     "config_fingerprint",
-    "diff_runs",
     "load_run",
-    "DiffResult",
-    "MetricDelta",
-    "DEFAULT_TOLERANCES",
     "SCHEMA_VERSION",
     "build_timeline",
     "write_timeline",

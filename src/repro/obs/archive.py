@@ -1,24 +1,17 @@
-"""Persistent archive of profiled runs + counter-regression diff engine.
+"""Persistent archive of profiled runs.
 
 Every archived run is one JSON file holding a schema version, a **config
 fingerprint** (dataset, seed, feat_dim, max_edges, and the full GPUSpec —
 two runs are only comparable when their fingerprints match), and the full
-:meth:`~repro.gpusim.profiler.ProfileReport.as_dict` metric set.  The
-diff engine compares two archived runs metric-by-metric against
-per-metric tolerances and flags regressions, which is what lets a perf PR
-*prove* its speedup (or an accidental counter drift) against an archived
-baseline: ``python -m repro diff baseline.json candidate.json`` exits
-non-zero and names the offending metric.
+:meth:`~repro.gpusim.profiler.ProfileReport.as_dict` metric set.
 
-Tolerances distinguish three metric classes:
-
-* **modeled counters** (bytes moved, kernel launches, sector/request) are
-  deterministic functions of the access pattern — tolerance 0;
-* **modeled times/ratios** (runtime, occupancy, …) are deterministic too
-  but float-accumulated — a small relative tolerance absorbs refactors
-  that only reorder float math;
-* **host wall times** (pre-processing) genuinely vary run to run — a wide
-  relative band plus an absolute floor.
+``python -m repro diff baseline.json candidate.json`` compares two
+archived runs as a two-point trend comparison: the same
+:func:`~repro.obs.trend.compare_metrics` and policy table that
+``repro regress`` uses, so integer counters must match exactly, modeled
+floats within float noise, and a modeled speed-up passes as
+``improved``.  That is what lets a perf PR *prove* its speedup (or catch
+an accidental counter drift) against an archived baseline.
 """
 
 from __future__ import annotations
@@ -26,18 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DEFAULT_TOLERANCES",
-    "Tolerance",
-    "MetricDelta",
-    "DiffResult",
     "ProfileArchive",
     "config_fingerprint",
-    "diff_runs",
     "load_run",
 ]
 
@@ -71,135 +59,6 @@ def config_fingerprint(
         payload["graph"] = graph.fingerprint()
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Allowed drift for one metric: relative band + absolute floor."""
-
-    rel: float = 0.0
-    abs: float = 0.0
-
-    def allows(self, baseline: float, candidate: float) -> bool:
-        delta = abs(candidate - baseline)
-        return delta <= max(self.rel * abs(baseline), self.abs, 1e-12)
-
-
-#: per-metric tolerances for ProfileReport.as_dict() entries
-DEFAULT_TOLERANCES: dict[str, Tolerance] = {
-    # modeled counters: exact
-    "kernel_launches": Tolerance(),
-    "mem_load_bytes": Tolerance(),
-    "mem_atomic_store_bytes": Tolerance(),
-    "mem_total_bytes": Tolerance(),
-    "global_mem_usage_bytes": Tolerance(),
-    "sectors_per_request": Tolerance(rel=1e-9),
-    # modeled times & derived ratios: small float band
-    "runtime_ms": Tolerance(rel=0.02),
-    "gpu_time_ms": Tolerance(rel=0.02),
-    "launch_overhead_ms": Tolerance(rel=0.02),
-    "sm_utilization": Tolerance(rel=0.02),
-    "achieved_occupancy": Tolerance(rel=0.02),
-    "stall_long_scoreboard": Tolerance(rel=0.02),
-    # host wall time: genuinely nondeterministic
-    "preprocess_ms": Tolerance(rel=0.75, abs=5.0),
-}
-
-#: applied to numeric metrics with no entry above (extras etc.)
-_FALLBACK_TOLERANCE = Tolerance(rel=0.05)
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    """One metric compared across two runs."""
-
-    metric: str
-    baseline: float
-    candidate: float
-    tolerance: Tolerance
-    regressed: bool
-
-    @property
-    def rel_delta(self) -> float:
-        if self.baseline == 0:
-            return 0.0 if self.candidate == 0 else float("inf")
-        return (self.candidate - self.baseline) / abs(self.baseline)
-
-    def describe(self) -> str:
-        arrow = "REGRESSED" if self.regressed else "ok"
-        return (
-            f"{self.metric:<24} {self.baseline:>16.6g} -> "
-            f"{self.candidate:>16.6g}  ({self.rel_delta:+.2%})  [{arrow}]"
-        )
-
-
-@dataclass
-class DiffResult:
-    """Outcome of diffing two archived runs."""
-
-    deltas: list[MetricDelta]
-    fingerprint_match: bool
-    missing_metrics: list[str]
-
-    @property
-    def regressions(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.regressed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions and not self.missing_metrics
-
-    def render(self) -> str:
-        lines = []
-        if not self.fingerprint_match:
-            lines.append(
-                "WARNING: config fingerprints differ — runs are not the same "
-                "workload; deltas below compare apples to oranges"
-            )
-        for d in self.deltas:
-            lines.append("  " + d.describe())
-        for m in self.missing_metrics:
-            lines.append(f"  {m:<24} missing from candidate  [REGRESSED]")
-        n = len(self.regressions) + len(self.missing_metrics)
-        lines.append(
-            "PASS: no counter regressions" if self.ok
-            else f"FAIL: {n} metric(s) regressed: "
-            + ", ".join(
-                [d.metric for d in self.regressions] + self.missing_metrics
-            )
-        )
-        return "\n".join(lines)
-
-
-def diff_runs(
-    baseline: dict, candidate: dict, *, tolerances: dict[str, Tolerance] | None = None
-) -> DiffResult:
-    """Compare two archive entries (as loaded dicts) metric by metric."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    base_m, cand_m = baseline["metrics"], candidate["metrics"]
-    deltas: list[MetricDelta] = []
-    missing: list[str] = []
-    for name, b in base_m.items():
-        if isinstance(b, str) or not isinstance(b, (int, float)):
-            continue
-        if name not in cand_m:
-            missing.append(name)
-            continue
-        c = cand_m[name]
-        t = tol.get(name, _FALLBACK_TOLERANCE)
-        deltas.append(
-            MetricDelta(
-                metric=name, baseline=float(b), candidate=float(c),
-                tolerance=t, regressed=not t.allows(float(b), float(c)),
-            )
-        )
-    return DiffResult(
-        deltas=deltas,
-        fingerprint_match=baseline.get("fingerprint") == candidate.get("fingerprint"),
-        missing_metrics=missing,
-    )
 
 
 def load_run(path: str | Path) -> dict:

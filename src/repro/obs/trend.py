@@ -1,16 +1,24 @@
-"""Perf-regression observatory: a per-metric trend store keyed by git rev.
+"""Perf-regression engine: one policy table, one comparison, and a
+per-metric trend store keyed by git rev.
 
-:class:`~repro.obs.archive.ProfileArchive` answers "did *this* run drift
-from *that* run"; the :class:`TrendStore` answers the longitudinal
-question — "how has this workload's performance moved across PRs".  One
-JSON file (committed to the repo as ``BENCH_serving.json`` /
-``BENCH_table5.json``) holds an append-only list of **trajectory
-points**, each stamped with the git revision, a config fingerprint, and
-a flat metric dict.  ``repro regress`` recomputes the same probes at
-HEAD and compares against the latest fingerprint-matching point with
-**directional** tolerances: a latency that *drops* 30% is an
-improvement, not a regression; the same move in throughput fails the
-gate.
+Both perf gates reach the same comparison, :func:`compare_metrics`, under
+the same table, :data:`DEFAULT_POLICIES`:
+
+* ``repro diff BASE CAND`` compares two archived runs
+  (:mod:`repro.obs.archive`) — a trend comparison of two points;
+* ``repro regress`` recomputes the probes of :mod:`repro.bench.regress`
+  at HEAD and compares them against the latest fingerprint-matching
+  point of a :class:`TrendStore`.  One JSON file (committed to the repo
+  as ``BENCH_serving.json`` / ``BENCH_table5.json`` / …) holds an
+  append-only list of **trajectory points**, each stamped with the git
+  revision, a config fingerprint, and a flat metric dict.
+
+Every metric either gate compares is modeled — a deterministic function
+of counters — so the bands are exact for integer counters and
+float-noise for modeled floats: they absorb reassociated float math, not
+run-to-run noise.  Directions make a gate one-sided where one exists: a
+latency that *drops* is ``improved``; the same move in throughput
+regresses; counters regress either way.
 
 Points with different fingerprints (a different ``max_edges`` cap, seed,
 or device spec) never compare — CI records at its own scale and stays
@@ -22,10 +30,8 @@ from __future__ import annotations
 import json
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-
-from .archive import Tolerance
 
 __all__ = [
     "TREND_SCHEMA_VERSION",
@@ -34,7 +40,10 @@ __all__ = [
     "TrendDiff",
     "TrendStore",
     "DEFAULT_POLICIES",
+    "FLOAT_NOISE",
+    "compare_metrics",
     "git_rev",
+    "policy_for",
 ]
 
 #: bump when the trend-store layout changes incompatibly
@@ -58,9 +67,11 @@ def git_rev(root: str | Path | None = None) -> str:
 
 @dataclass(frozen=True)
 class MetricPolicy:
-    """Tolerance plus the drift direction that counts as a regression."""
+    """Allowed relative drift of one metric plus the direction that
+    counts as a regression."""
 
-    tolerance: Tolerance = Tolerance(rel=0.05)
+    #: band as a fraction of the baseline; 0 = exact
+    rel: float = 0.0
     #: "lower" = lower is better (latency: increases regress);
     #: "higher" = higher is better (throughput: decreases regress);
     #: "both"   = any out-of-band drift regresses (counters)
@@ -68,7 +79,7 @@ class MetricPolicy:
 
     def classify(self, baseline: float, candidate: float) -> str:
         """"ok" | "regressed" | "improved" for one metric move."""
-        if self.tolerance.allows(baseline, candidate):
+        if abs(candidate - baseline) <= max(self.rel * abs(baseline), 1e-12):
             return "ok"
         if self.better == "both":
             return "regressed"
@@ -79,50 +90,67 @@ class MetricPolicy:
         return "regressed" if worse else "improved"
 
 
-#: metric-name policies shared by the serving and table5 probes; matched
-#: by exact name first, then by the longest suffix after "_"
+#: modeled floats move only by reassociated float math; a real model
+#: change moves them by orders of magnitude more than this
+FLOAT_NOISE = 1e-9
+
+_EXACT = MetricPolicy()
+_TIME = MetricPolicy(FLOAT_NOISE, better="lower")
+_RATE = MetricPolicy(FLOAT_NOISE, better="higher")
+_RATIO = MetricPolicy(FLOAT_NOISE, better="both")
+
+#: the one policy table of both gates; matched by exact name first, then
+#: by the longest suffix after "_" (``TLPGNN_runtime_ms`` -> runtime_ms)
 DEFAULT_POLICIES: dict[str, MetricPolicy] = {
-    # modeled latencies: deterministic floats, lower is better
-    "p50_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    "p95_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    "p99_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    "mean_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    "runtime_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    "makespan_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    # tuner outcomes: the winning plan getting slower is a regression;
+    # ProfileReport.as_dict(): modeled times
+    "runtime_ms": _TIME,
+    "gpu_time_ms": _TIME,
+    "launch_overhead_ms": _TIME,
+    "preprocess_ms": _TIME,
+    # ProfileReport.as_dict(): integer counters
+    "kernel_launches": _EXACT,
+    "mem_load_bytes": _EXACT,
+    "mem_atomic_store_bytes": _EXACT,
+    "mem_total_bytes": _EXACT,
+    "global_mem_usage_bytes": _EXACT,
+    # ProfileReport.as_dict(): modeled ratios
+    "sm_utilization": _RATIO,
+    "achieved_occupancy": _RATIO,
+    "stall_long_scoreboard": _RATIO,
+    "sectors_per_request": _RATIO,
+    # probes: modeled latencies and the tuner's winner
+    "p50_ms": _TIME,
+    "p95_ms": _TIME,
+    "p99_ms": _TIME,
+    "mean_ms": _TIME,
+    "tuned_ms": _TIME,
     # the fixed-config anchor is costed, not tuned, so it is symmetric
-    "tuned_ms": MetricPolicy(Tolerance(rel=0.05), better="lower"),
-    "fixed_ms": MetricPolicy(Tolerance(rel=0.05), better="both"),
-    # budget adherence: measurement count drift is a determinism bug
-    "iterations": MetricPolicy(Tolerance(), better="both"),
-    # rates: higher is better
-    "throughput_rps": MetricPolicy(Tolerance(rel=0.05), better="higher"),
-    "sustained_rps": MetricPolicy(Tolerance(rel=0.05), better="higher"),
-    "speedup": MetricPolicy(Tolerance(rel=0.05), better="higher"),
-    # conservation counters: exact
-    "completed": MetricPolicy(Tolerance(), better="both"),
-    "shed": MetricPolicy(Tolerance(), better="both"),
+    "fixed_ms": _RATIO,
+    # probes: rates
+    "throughput_rps": _RATE,
+    "speedup": _RATE,
+    # probes: conservation and tuner-budget counters
+    "completed": _EXACT,
+    "shed": _EXACT,
+    "iterations": _EXACT,
 }
 
-_FALLBACK_POLICY = MetricPolicy()
+_FALLBACK_POLICY = _RATIO
 
 
-def policy_for(metric: str, policies: dict | None = None) -> MetricPolicy:
-    table = policies if policies is not None else DEFAULT_POLICIES
-    if metric in table:
-        return table[metric]
-    # suffix match: "TLPGNN_CR_runtime_ms" inherits the runtime_ms policy
+def policy_for(metric: str) -> MetricPolicy:
+    """The policy of ``metric``: exact name, longest suffix, fallback."""
     parts = metric.split("_")
-    for i in range(1, len(parts)):
+    for i in range(len(parts)):
         suffix = "_".join(parts[i:])
-        if suffix in table:
-            return table[suffix]
+        if suffix in DEFAULT_POLICIES:
+            return DEFAULT_POLICIES[suffix]
     return _FALLBACK_POLICY
 
 
 @dataclass(frozen=True)
 class TrendDelta:
-    """One metric compared against the recorded trajectory."""
+    """One metric compared across a baseline and a candidate."""
 
     metric: str
     baseline: float
@@ -148,13 +176,12 @@ class TrendDelta:
 
 @dataclass
 class TrendDiff:
-    """HEAD vs the recorded trajectory of one store."""
+    """A candidate's metrics against a baseline's, one verdict each."""
 
-    store: str
-    baseline_rev: str
-    candidate_rev: str
     deltas: list[TrendDelta]
     missing_metrics: list[str]
+    #: lines rendered above the per-metric table (what was compared)
+    header: list[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[TrendDelta]:
@@ -169,32 +196,48 @@ class TrendDiff:
         return not self.regressions and not self.missing_metrics
 
     def render(self) -> str:
-        lines = [
-            f"trend {self.store}: baseline rev {self.baseline_rev} -> "
-            f"HEAD ({self.candidate_rev})"
-        ]
+        lines = list(self.header)
         for d in self.deltas:
             lines.append("  " + d.describe())
         for m in self.missing_metrics:
-            lines.append(f"  {m:<28} missing at HEAD  [REGRESSED]")
-        n_reg = len(self.regressions) + len(self.missing_metrics)
+            lines.append(f"  {m:<28} missing from candidate  [REGRESSED]")
         if self.ok:
-            verdict = "PASS: no perf regressions vs recorded trajectory"
+            verdict = "PASS: no regressions"
             if self.improvements:
                 verdict += (
                     f" ({len(self.improvements)} improvement(s) — "
                     "consider re-recording the baseline)"
                 )
         else:
+            failed = [d.metric for d in self.regressions] + self.missing_metrics
             verdict = (
-                f"FAIL: {n_reg} metric(s) regressed: "
-                + ", ".join(
-                    [d.metric for d in self.regressions]
-                    + self.missing_metrics
-                )
+                f"FAIL: {len(failed)} metric(s) regressed: " + ", ".join(failed)
             )
         lines.append(verdict)
         return "\n".join(lines)
+
+
+def compare_metrics(baseline: dict, candidate: dict) -> TrendDiff:
+    """Classify every numeric baseline metric's move to the candidate.
+
+    Non-numeric baseline values (system/model/dataset names) are skipped;
+    a metric the candidate lacks is a regression; metrics only the
+    candidate has are ignored.
+    """
+    deltas: list[TrendDelta] = []
+    missing: list[str] = []
+    for metric, base_value in sorted(baseline.items()):
+        if not isinstance(base_value, (int, float)):
+            continue
+        if metric not in candidate:
+            missing.append(metric)
+            continue
+        policy = policy_for(metric)
+        base, cand = float(base_value), float(candidate[metric])
+        deltas.append(
+            TrendDelta(metric, base, cand, policy, policy.classify(base, cand))
+        )
+    return TrendDiff(deltas=deltas, missing_metrics=missing)
 
 
 class TrendStore:
@@ -276,33 +319,15 @@ class TrendStore:
         *,
         fingerprint: str,
         rev: str | None = None,
-        policies: dict | None = None,
     ) -> TrendDiff | None:
         """HEAD metrics vs the latest matching point (None = no baseline)."""
         baseline = self.latest(fingerprint=fingerprint)
         if baseline is None:
             return None
-        deltas: list[TrendDelta] = []
-        missing: list[str] = []
-        for metric, base_value in sorted(baseline["metrics"].items()):
-            if metric not in candidate_metrics:
-                missing.append(metric)
-                continue
-            policy = policy_for(metric, policies)
-            cand_value = float(candidate_metrics[metric])
-            deltas.append(
-                TrendDelta(
-                    metric=metric,
-                    baseline=float(base_value),
-                    candidate=cand_value,
-                    policy=policy,
-                    verdict=policy.classify(float(base_value), cand_value),
-                )
-            )
-        return TrendDiff(
-            store=self.name,
-            baseline_rev=baseline.get("rev", "unknown"),
-            candidate_rev=rev if rev is not None else git_rev(self.path.parent),
-            deltas=deltas,
-            missing_metrics=missing,
+        diff = compare_metrics(baseline["metrics"], candidate_metrics)
+        head = rev if rev is not None else git_rev(self.path.parent)
+        diff.header.append(
+            f"trend {self.name}: baseline rev "
+            f"{baseline.get('rev', 'unknown')} -> HEAD ({head})"
         )
+        return diff

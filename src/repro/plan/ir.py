@@ -131,7 +131,7 @@ class ExecutionPlan:
     pipeline_name: str
     ops: list[KernelOp]
     compute: ComputeStep
-    #: one-off host pre-processing charged to the pipeline (GNNAdvisor)
+    #: one-off modeled pre-processing charged to the pipeline (GNNAdvisor)
     preprocess_seconds: float = 0.0
     #: per-kernel framework dispatch cost (None = bare launches)
     dispatch_seconds: float | None = None
@@ -186,7 +186,7 @@ class ExecutionPlan:
             )
         if self.preprocess_seconds:
             lines.append(
-                f"  + host pre-processing "
+                f"  + pre-processing "
                 f"{self.preprocess_seconds * 1e3:.3f} ms (one-off)"
             )
         return "\n".join(lines)

@@ -15,6 +15,7 @@ from repro.frameworks import (
 )
 from repro.graph import load_dataset
 from repro.models import MODEL_NAMES, build_conv, reference_aggregate
+from repro.plan import get_plan_cache
 
 
 @pytest.fixture
@@ -100,6 +101,11 @@ class TestProfiles:
     def test_gnnadvisor_preprocesses(self, small_random, X16):
         res = GNNAdvisorSystem().run("gcn", small_random, X16)
         assert res.report.preprocess_ms > 0
+        # modeled, not timed: lowering again reproduces it bit for bit
+        get_plan_cache().clear()
+        again = GNNAdvisorSystem().run("gcn", small_random, X16)
+        assert not again.plan.cached
+        assert again.report.preprocess_ms == res.report.preprocess_ms
 
     def test_tlpgnn_no_preprocessing(self, small_random, X16):
         res = TLPGNNEngine().run("gcn", small_random, X16)

@@ -1,4 +1,5 @@
-"""Profile archive: persistence, fingerprints, and the regression diff."""
+"""Profile archive: persistence, fingerprints, and diffing archived runs
+through the one comparison of :mod:`repro.obs.trend`."""
 
 import json
 
@@ -9,11 +10,10 @@ from repro.frameworks import SYSTEMS
 from repro.obs.archive import (
     SCHEMA_VERSION,
     ProfileArchive,
-    Tolerance,
     config_fingerprint,
-    diff_runs,
     load_run,
 )
+from repro.obs.trend import compare_metrics
 
 CONFIG = BenchConfig(max_edges=60_000, seed=7)
 
@@ -96,55 +96,53 @@ class TestDiff:
         archive = ProfileArchive(tmp_path)
         p0 = archive.record(report, seed=7, feat_dim=32)
         p1 = archive.record(report, seed=7, feat_dim=32)
-        return load_run(p0), load_run(p1)
+        return load_run(p0)["metrics"], load_run(p1)["metrics"]
 
     def test_identical_runs_pass(self, tmp_path, report):
         base, cand = self._entries(tmp_path, report)
-        result = diff_runs(base, cand)
+        result = compare_metrics(base, cand)
         assert result.ok
-        assert result.fingerprint_match
-        assert not result.regressions
+        assert not result.regressions and not result.improvements
         assert "PASS" in result.render()
 
     def test_counter_perturbation_flags_the_metric(self, tmp_path, report):
         base, cand = self._entries(tmp_path, report)
-        cand["metrics"]["mem_load_bytes"] += 4096
-        result = diff_runs(base, cand)
+        cand["mem_load_bytes"] += 4096
+        result = compare_metrics(base, cand)
         assert not result.ok
         assert [d.metric for d in result.regressions] == ["mem_load_bytes"]
         assert "mem_load_bytes" in result.render()
         assert "FAIL" in result.render()
 
-    def test_within_tolerance_time_drift_passes(self, tmp_path, report):
+    @pytest.mark.parametrize("factor,verdict", [
+        (1 + 1e-12, "ok"),       # reassociated float math
+        (1.01, "regressed"),     # a 1% modeled slowdown
+        (0.9, "improved"),       # a modeled speed-up
+    ])
+    def test_modeled_time_band_is_float_noise_and_directional(
+        self, tmp_path, report, factor, verdict
+    ):
         base, cand = self._entries(tmp_path, report)
-        cand["metrics"]["runtime_ms"] *= 1.01  # inside the 2% band
-        assert diff_runs(base, cand).ok
+        cand["runtime_ms"] *= factor
+        result = compare_metrics(base, cand)
+        (delta,) = [d for d in result.deltas if d.metric == "runtime_ms"]
+        assert delta.verdict == verdict
+        assert result.ok == (verdict != "regressed")
+        assert all(d.verdict == "ok" for d in result.deltas if d is not delta)
 
     def test_beyond_tolerance_time_drift_fails(self, tmp_path, report):
         base, cand = self._entries(tmp_path, report)
-        cand["metrics"]["runtime_ms"] *= 1.10
-        result = diff_runs(base, cand)
+        cand["runtime_ms"] *= 1.10
+        result = compare_metrics(base, cand)
         assert [d.metric for d in result.regressions] == ["runtime_ms"]
 
     def test_missing_metric_is_a_regression(self, tmp_path, report):
         base, cand = self._entries(tmp_path, report)
-        del cand["metrics"]["mem_atomic_store_bytes"]
-        result = diff_runs(base, cand)
+        del cand["mem_atomic_store_bytes"]
+        result = compare_metrics(base, cand)
         assert not result.ok
         assert result.missing_metrics == ["mem_atomic_store_bytes"]
-
-    def test_custom_tolerance_override(self, tmp_path, report):
-        base, cand = self._entries(tmp_path, report)
-        cand["metrics"]["mem_load_bytes"] += 1
-        loose = {"mem_load_bytes": Tolerance(rel=0.5)}
-        assert diff_runs(base, cand, tolerances=loose).ok
-
-    def test_fingerprint_mismatch_warns(self, tmp_path, report):
-        base, cand = self._entries(tmp_path, report)
-        cand["fingerprint"] = "different"
-        result = diff_runs(base, cand)
-        assert not result.fingerprint_match
-        assert "WARNING" in result.render()
+        assert "missing from candidate" in result.render()
 
 
 class TestEdgeCases:
@@ -155,42 +153,28 @@ class TestEdgeCases:
         assert archive.latest(fingerprint="anything") is None
 
     def test_diff_of_empty_metric_sets_passes(self):
-        empty = {"fingerprint": "fp", "metrics": {}}
-        result = diff_runs(empty, empty)
+        result = compare_metrics({}, {})
         assert result.ok
         assert result.deltas == [] and result.missing_metrics == []
         assert "PASS" in result.render()
 
     def test_string_metrics_are_skipped_not_compared(self):
-        base = {"fingerprint": "fp",
-                "metrics": {"system": "TLPGNN", "runtime_ms": 1.0}}
-        cand = {"fingerprint": "fp",
-                "metrics": {"system": "OTHER", "runtime_ms": 1.0}}
-        result = diff_runs(base, cand)
+        result = compare_metrics(
+            {"system": "TLPGNN", "runtime_ms": 1.0},
+            {"system": "OTHER", "runtime_ms": 1.0},
+        )
         assert result.ok
         assert [d.metric for d in result.deltas] == ["runtime_ms"]
 
-    def test_missing_metric_ignores_tolerance_overrides(self):
-        # a metric absent from the candidate is a regression even under
-        # an arbitrarily loose tolerance — absence is not drift
-        base = {"fingerprint": "fp", "metrics": {"runtime_ms": 1.0}}
-        cand = {"fingerprint": "fp", "metrics": {}}
-        loose = {"runtime_ms": Tolerance(rel=1e9, abs=1e9)}
-        result = diff_runs(base, cand, tolerances=loose)
-        assert not result.ok
-        assert result.missing_metrics == ["runtime_ms"]
-        assert "missing from candidate" in result.render()
-
     def test_extra_candidate_metrics_are_ignored(self):
-        base = {"fingerprint": "fp", "metrics": {"runtime_ms": 1.0}}
-        cand = {"fingerprint": "fp",
-                "metrics": {"runtime_ms": 1.0, "new_metric": 42.0}}
-        assert diff_runs(base, cand).ok
+        result = compare_metrics(
+            {"runtime_ms": 1.0}, {"runtime_ms": 1.0, "new_metric": 42.0}
+        )
+        assert result.ok
+        assert [d.metric for d in result.deltas] == ["runtime_ms"]
 
     def test_zero_baseline_rel_delta(self):
-        base = {"fingerprint": "fp", "metrics": {"extra_counter": 0.0}}
-        cand = {"fingerprint": "fp", "metrics": {"extra_counter": 1.0}}
-        result = diff_runs(base, cand)
-        delta, = result.deltas
+        result = compare_metrics({"extra_counter": 0.0}, {"extra_counter": 1.0})
+        (delta,) = result.deltas
         assert delta.rel_delta == float("inf")
-        assert delta.regressed  # 0 -> 1 exceeds any relative band
+        assert delta.verdict == "regressed"  # 0 -> 1 exceeds any relative band

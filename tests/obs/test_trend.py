@@ -2,11 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.obs.archive import Tolerance
+from repro.bench import BenchConfig
+from repro.bench.regress import PROBES
+from repro.frameworks import GNNAdvisorSystem
 from repro.obs.trend import (
     DEFAULT_POLICIES,
+    FLOAT_NOISE,
     TREND_SCHEMA_VERSION,
     MetricPolicy,
     TrendStore,
@@ -92,19 +96,19 @@ class TestStoreRoundTrip:
 
 class TestPolicies:
     def test_lower_better_directionality(self):
-        p = MetricPolicy(Tolerance(rel=0.05), better="lower")
+        p = MetricPolicy(rel=0.05, better="lower")
         assert p.classify(1.0, 1.01) == "ok"        # inside the band
         assert p.classify(1.0, 1.2) == "regressed"  # slower
         assert p.classify(1.0, 0.7) == "improved"   # faster
 
     def test_higher_better_directionality(self):
-        p = MetricPolicy(Tolerance(rel=0.05), better="higher")
+        p = MetricPolicy(rel=0.05, better="higher")
         assert p.classify(100.0, 96.0) == "ok"
         assert p.classify(100.0, 80.0) == "regressed"
         assert p.classify(100.0, 130.0) == "improved"
 
     def test_both_regresses_either_direction(self):
-        p = MetricPolicy(Tolerance(), better="both")
+        p = MetricPolicy(better="both")
         assert p.classify(96.0, 96.0) == "ok"
         assert p.classify(96.0, 95.0) == "regressed"
         assert p.classify(96.0, 97.0) == "regressed"
@@ -116,10 +120,38 @@ class TestPolicies:
         assert policy_for("offline_throughput_rps").better == "higher"
         assert policy_for("mystery_metric").better == "both"
 
-    def test_default_policies_cover_probe_metrics(self):
-        for name in ("p50_ms", "p99_ms", "throughput_rps", "speedup",
-                     "completed", "shed"):
-            assert name in DEFAULT_POLICIES
+    def test_default_policies_cover_probe_metrics(self, small_random):
+        # every metric either gate compares has an explicit entry (by
+        # exact name or suffix); none falls through to the fallback
+        def explicit(metric):
+            parts = metric.split("_")
+            return any(
+                "_".join(parts[i:]) in DEFAULT_POLICIES
+                for i in range(len(parts))
+            )
+
+        X = np.ones((small_random.num_vertices, 8), dtype=np.float32)
+        report = GNNAdvisorSystem().run("gcn", small_random, X).report
+        names = [
+            k for k, v in report.as_dict().items()
+            if isinstance(v, (int, float))
+        ]
+        config = BenchConfig(max_edges=20_000, seed=7)
+        for probe in PROBES.values():
+            names += list(probe(config).metrics)
+        assert len(names) > 20
+        assert [m for m in names if not explicit(m)] == []
+
+    def test_counters_exact_modeled_floats_float_noise(self):
+        for name in ("kernel_launches", "mem_total_bytes", "completed",
+                     "shed", "iterations"):
+            assert policy_for(name) == MetricPolicy()
+        for name, better in [("runtime_ms", "lower"), ("p99_ms", "lower"),
+                             ("throughput_rps", "higher"),
+                             ("speedup", "higher"), ("fixed_ms", "both"),
+                             ("achieved_occupancy", "both")]:
+            assert policy_for(name) == MetricPolicy(FLOAT_NOISE, better)
+        assert policy_for("mystery_metric") == MetricPolicy(FLOAT_NOISE)
 
 
 class TestCompare:
@@ -179,7 +211,7 @@ class TestCompare:
         )
         assert not diff.ok
         assert diff.missing_metrics == ["completed"]
-        assert "missing at HEAD" in diff.render()
+        assert "missing from candidate" in diff.render()
 
     def test_compare_uses_latest_matching_point(self, tmp_path):
         store = self._record(tmp_path)
@@ -191,4 +223,4 @@ class TestCompare:
             {"p99_ms": 3.0, "throughput_rps": 500.0, "completed": 96.0},
             fingerprint="fp", rev="head456",
         )
-        assert diff.ok and diff.baseline_rev == "newer99"
+        assert diff.ok and "baseline rev newer99" in diff.render()

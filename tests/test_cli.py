@@ -153,6 +153,29 @@ class TestTraceAndDiff:
         assert "mem_atomic_store_bytes" in out
         assert "FAIL" in out
 
+    def test_diff_runtime_is_directional(self, tmp_path):
+        baseline, candidate = self._archive_two(tmp_path)
+        entry = json.loads(candidate.read_text())
+        runtime = entry["metrics"]["runtime_ms"]
+        for factor, want_code, tag in [(1.01, 1, "REGRESSED"),
+                                       (0.9, 0, "improved")]:
+            entry["metrics"]["runtime_ms"] = runtime * factor
+            candidate.write_text(json.dumps(entry))
+            code, out = run_cli("diff", str(baseline), str(candidate))
+            assert code == want_code
+            (line,) = [ln for ln in out.splitlines()
+                       if ln.startswith("  runtime_ms ")]
+            assert f"[{tag}]" in line
+
+    def test_diff_warns_on_fingerprint_mismatch(self, tmp_path):
+        baseline, candidate = self._archive_two(tmp_path)
+        entry = json.loads(candidate.read_text())
+        entry["fingerprint"] = "different"
+        candidate.write_text(json.dumps(entry))
+        code, out = run_cli("diff", str(baseline), str(candidate))
+        assert code == 0
+        assert "WARNING: config fingerprints differ" in out
+
     def test_diff_bad_file_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
