@@ -3,11 +3,17 @@ evaluation section (Tables 1-5, Figures 8-12)."""
 
 from .figures import ABLATION_STAGES, ablation_series, fig8, fig9, fig10, fig11, fig12
 from .harness import (
+    GOLDEN_DATASETS,
+    GOLDEN_MODELS,
     BenchConfig,
+    Cell,
     get_dataset,
+    grid_cells,
+    load_cell,
     make_features,
     run_comparison,
     run_system,
+    walk_grid,
 )
 from .report import TableResult, render_table
 from .serving import SERVING_SYSTEMS, serving_scenario, sustained_rate
@@ -17,8 +23,14 @@ from .validate import CLAIMS, ClaimResult, validate_claims
 
 __all__ = [
     "BenchConfig",
+    "Cell",
+    "GOLDEN_DATASETS",
+    "GOLDEN_MODELS",
     "get_dataset",
+    "grid_cells",
+    "load_cell",
     "make_features",
+    "walk_grid",
     "run_system",
     "run_comparison",
     "TableResult",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Any
 
 import numpy as np
 
@@ -11,16 +13,28 @@ from ..frameworks import SYSTEMS, CapacityError, GNNSystem, UnsupportedModelErro
 from ..frameworks.base import SystemResult
 from ..gpusim.config import V100, GPUSpec, scaled_spec
 from ..graph.datasets import Dataset, load_dataset
+from ..graph.generators import make_features
 from ..models import MODEL_NAMES
 from ..obs.tracer import span
 
 __all__ = [
     "BenchConfig",
+    "Cell",
+    "GOLDEN_DATASETS",
+    "GOLDEN_MODELS",
     "make_features",
     "get_dataset",
+    "load_cell",
+    "grid_cells",
+    "walk_grid",
     "run_system",
     "run_comparison",
 ]
+
+#: the golden grid, every system x these models x these datasets: what
+#: ``repro lint`` and ``repro verify`` cover unless told otherwise
+GOLDEN_MODELS = ("gcn", "gat")
+GOLDEN_DATASETS = ("CR", "CS", "PD")
 
 
 @dataclass(frozen=True)
@@ -81,10 +95,57 @@ def get_dataset(abbr: str, config: BenchConfig) -> Dataset:
     return _CANONICAL.setdefault(key, ds)
 
 
-def make_features(n: int, feat_dim: int, *, seed: int = 0) -> np.ndarray:
-    """Random float32 features, as the paper initializes its inputs."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, feat_dim), dtype=np.float32)
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """One dataset resolved under a config: the inputs every (system,
+    model) pair run on it shares."""
+
+    abbr: str
+    dataset: Dataset
+    X: np.ndarray
+    spec: GPUSpec
+
+    def lower(self, system: GNNSystem, model: str) -> Any:
+        """``system``'s execution plan for ``model`` on this cell."""
+        return system.lower(model, self.dataset, self.X, self.spec)
+
+
+def load_cell(abbr: str, config: BenchConfig) -> Cell:
+    """Resolve a dataset, its features and its device spec, once."""
+    dataset = get_dataset(abbr, config)
+    X = make_features(dataset.graph.num_vertices, config.feat_dim, seed=config.seed)
+    return Cell(abbr, dataset, X, config.spec_for(dataset))
+
+
+def grid_cells(
+    config: BenchConfig, datasets: Sequence[str] | None = None
+) -> Iterator[Cell]:
+    """Resolve a grid's datasets lazily (default: the golden datasets)."""
+    return (load_cell(abbr, config) for abbr in datasets or GOLDEN_DATASETS)
+
+
+def walk_grid(
+    cells: Iterable[Cell],
+    fn: Callable[[Cell, GNNSystem, str], Any],
+    *,
+    models: Sequence[str] | None = None,
+    systems: Sequence[str] | None = None,
+) -> Iterator[tuple[Cell, str, str, Any]]:
+    """Apply ``fn(cell, system, model)`` over a grid, datasets outermost.
+
+    Yields ``(cell, model, system_name, result)``.  Models default to the
+    golden grid's, systems to every registered one.  A dash (unsupported
+    model or capacity failure, as in the paper) yields the exception as
+    the result instead of raising.
+    """
+    for cell in cells:
+        for model in models or GOLDEN_MODELS:
+            for name in systems or sorted(SYSTEMS):
+                try:
+                    result = fn(cell, SYSTEMS[name](), model)
+                except (UnsupportedModelError, CapacityError) as exc:
+                    result = exc
+                yield cell, model, name, result
 
 
 def run_system(
@@ -125,13 +186,11 @@ def run_comparison(
     systems: dict[str, type] | None = None,
 ) -> dict[str, SystemResult | None]:
     """Run all systems on one (model, dataset) cell."""
-    systems = systems or SYSTEMS
-    dataset = get_dataset(abbr, config)
-    X = make_features(dataset.graph.num_vertices, config.feat_dim, seed=config.seed)
-    out: dict[str, SystemResult | None] = {}
-    for name, factory in systems.items():
-        out[name] = run_system(factory(), model, dataset, config, X=X)
-    return out
+    cell = load_cell(abbr, config)
+    return {
+        name: run_system(factory(), model, cell.dataset, config, X=cell.X)
+        for name, factory in (systems or SYSTEMS).items()
+    }
 
 
 def all_models() -> tuple[str, ...]:

@@ -1,80 +1,50 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-datasets            print the Table-4 registry (spec + loaded stand-in)
-run                 profile one (system, model, dataset) cell
-compare             run all four systems on one cell and rank them
-experiment          regenerate a paper table/figure by id (table1..fig12)
-validate            check the paper's shape claims (exit 1 on failure)
-report              regenerate every table & figure into one document
-roofline            roofline-classify every kernel of a system's pipeline
-trace               profile one cell and export a Chrome-trace timeline
-                    (one track per simulated SM; Perfetto loadable)
-diff                compare two archived profile runs metric-by-metric
-                    under regress's policy table (exact counters,
-                    float-noise bands, directional times and rates);
-                    exit 1 when a metric regressed
-serve               simulated online inference serving (open-loop trace,
-                    dynamic batching, admission control, CUDA-like
-                    streams); --compare runs the cross-system scenario;
-                    --trace exports per-request span trees as a Chrome
-                    trace, --tree prints the slowest requests' trees,
-                    --slo-ms enables SLO burn-rate monitoring
-top                 serve one workload with SLO monitoring and render the
-                    terminal health dashboard (error budgets, multi-window
-                    burn rates, shed/latency attribution, alert log)
-metrics             Prometheus-style text exposition of serving metrics:
-                    either re-expose a --metrics-out JSONL file
-                    (--from-jsonl) or run a small serving workload and
-                    expose its registry (histograms carry request-id
-                    exemplars)
-regress             perf-regression observatory: re-run the recorded
-                    probes at HEAD and compare against the BENCH_*.json
-                    trajectory (the same comparison as diff; exit 1 on
-                    regression); --record appends a new trajectory point
-plan                lower one (dataset, model) cell and print each
-                    system's ExecutionPlan (kernel list, balance choice,
-                    fusion structure, content fingerprint)
-opt                 run the repro.opt pass pipeline on one cell and show
-                    each pass's rewrite decision (legality re-linted,
-                    profit scored with the shared cost model)
-tune                auto-tune the compute-kernel knob space of one or
-                    more cells (deterministic seeded search, budgeted);
-                    persists winners in the tuned-plan store that
-                    ``run --opt search`` / ``serve --opt search`` replay
-lint                statically analyze lowered plans for hazards, resource
-                    limits, nondeterminism sources, and memory-access
-                    patterns (coalescing / divergence / bounds — no
-                    execution); --json emits a stable finding array,
-                    --format sarif a SARIF 2.1.0 log, --baseline
-                    suppresses known findings, --explain CODE
-                    documents one rule; --strict exits 1 on error-severity
-                    findings (with --baseline: on any unsuppressed finding)
-verify              translation validation: certify that the optimizer's
-                    rewrites preserve each cell's dataflow normal form
-                    (default grid: the 24 golden cells); prints per-cell
-                    verdicts + certificate ids, explains any failure as
-                    the minimal diverging term; --json / --format sarif
-                    for machine consumption; exit 1 on any failed cell
-udf                 describe a registered message-passing UDF: the spec
-                    signature, what each framework derives from its terms
-                    (support decision + kernel pipeline), and the fused
-                    kernel's derived effect/access tables; with no model
-                    argument, list every registered model
+One table, :data:`COMMANDS`, declares every command: its handler, its
+help and description, the shared option groups it takes, and its own
+options.  The four shared groups are *cell* (``--system``, ``--model``,
+``--dataset``), *grid* (lint and verify's repeatable lists over the
+golden grid), *serving* (the trace and device options ``serve`` and
+``top`` share) and *format* (``--json``; lint and verify also take
+``--format``).  ``repro <command> --help`` documents each command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
+from pathlib import Path
+from typing import Any
 
-from .bench import ALL_EXPERIMENTS, BenchConfig, get_dataset, make_features, run_system
+from .bench import (
+    ALL_EXPERIMENTS,
+    GOLDEN_DATASETS,
+    GOLDEN_MODELS,
+    BenchConfig,
+    Cell,
+    get_dataset,
+    grid_cells,
+    load_cell,
+    run_system,
+    walk_grid,
+)
 from .frameworks import SYSTEMS
 from .gpusim import roofline
 from .obs import ProfileArchive, Tracer, compare_metrics, load_run, set_tracer
 
 __all__ = ["main", "build_parser"]
+
+Option = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _opt(*flags: str, **kwargs: Any) -> Option:
+    return flags, kwargs
 
 
 def _model_choices() -> list[str]:
@@ -83,6 +53,81 @@ def _model_choices() -> list[str]:
     from .mp import registered_models
 
     return sorted(registered_models())
+
+
+def _cell_options(systems: list[str], models: list[str]) -> dict[str, Option]:
+    """The cell and grid groups, by key, built with the parser so that the
+    choices are the registries' systems and models at that moment."""
+    return {
+        # cell: one (system, model, dataset) cell; upper case = positional
+        "system": _opt("--system", choices=systems, default="TLPGNN"),
+        "model": _opt("--model", choices=models, default="gcn"),
+        "dataset": _opt("--dataset", default="CR",
+                        help="dataset abbreviation (default CR)"),
+        "DATASET": _opt("dataset", help="dataset abbreviation (e.g. CR)"),
+        "MODEL": _opt("model", choices=models),
+        # grid: every system unless --system names one, and repeatable
+        # lists over the golden grid
+        "systems": _opt("--system", choices=systems, default=None,
+                        help="limit to one system (default: all of them)"),
+        "models": _opt("--model", action="append", choices=models,
+                       help="model; repeatable (default: "
+                       f"{' '.join(GOLDEN_MODELS)})"),
+        "datasets": _opt("--dataset", action="append",
+                         help="dataset abbreviation; repeatable (default: "
+                         f"{' '.join(GOLDEN_DATASETS)})"),
+    }
+
+
+#: the cell-group keys of a one-cell command, and of a grid command
+CELL = ("system", "model", "dataset")
+GRID = ("systems", "models", "datasets")
+
+#: the serving group; each dest that names a ServeConfig field sets it
+SERVING = (
+    _opt("--arrival", choices=["poisson", "bursty"], default="poisson"),
+    _opt("--rate", dest="rate_hz", metavar="HZ", type=float, default=None,
+         help="offered req/s (default: top's --load, or serve's 0.5, x "
+         "the system's offline service rate)"),
+    _opt("--requests", dest="num_requests", metavar="N", type=int, default=200,
+         help="trace length (default 200)"),
+    _opt("--max-batch", type=int, default=8),
+    _opt("--streams", dest="num_streams", metavar="N", type=int, default=2,
+         help="concurrent CUDA-like streams"),
+    _opt("--queue-depth", type=int, default=64,
+         help="admission bound on in-system requests"),
+    _opt("--slo-ms", type=float, default=None,
+         help="latency SLO in ms (serve: enables burn-rate monitoring, and "
+         "is the --compare p99 bar, default 2.5x DGL offline; top: default "
+         "2.5x the offline runtime)"),
+    _opt("--slo-objective", type=float, default=0.99,
+         help="SLO good fraction (default 0.99 = 1%% budget)"),
+)
+
+_ARCHIVE = _opt("--archive", default=None, metavar="DIR",
+                help="also record the profile into this archive directory")
+_OPT = _opt("--opt", choices=["off", "safe", "search"], default=None,
+            help="plan-IR optimizer level (search replays the tuned-plan "
+            "store)")
+_LEVEL = _opt("--level", choices=["safe", "search"], default="search",
+              help="optimizer level (default search)")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: its handler, its help, the shared groups it takes and
+    its own options."""
+
+    handler: Callable[[argparse.Namespace, BenchConfig, Any], int]
+    help: str
+    #: what ``repro <command> --help`` adds to the help line
+    detail: str = ""
+    #: cell-group keys, in declaration order
+    cell: tuple[str, ...] = ()
+    serving: bool = False
+    #: machine output formats: ("json",) adds --json, a second adds --format
+    formats: tuple[str, ...] = ()
+    options: tuple[Option, ...] = ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,321 +145,139 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--feat", type=int, default=32, help="feature dimension")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("datasets", help="print the dataset registry")
-
-    run = sub.add_parser("run", help="profile one system/model/dataset cell")
-    run.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    run.add_argument("--model", choices=_model_choices(), default="gcn")
-    run.add_argument("--dataset", default="CR")
-    run.add_argument("--archive", default=None, metavar="DIR",
-                     help="also record the profile into this archive directory")
-    run.add_argument("--opt", choices=["off", "safe", "search"], default=None,
-                     help="plan-IR optimizer level (see the opt command)")
-
-    cmp_ = sub.add_parser("compare", help="run all systems on one cell")
-    cmp_.add_argument("--model", choices=_model_choices(), default="gcn")
-    cmp_.add_argument("--dataset", default="CR")
-
-    exp = sub.add_parser("experiment", help="regenerate a table/figure")
-    exp.add_argument("id", choices=sorted(ALL_EXPERIMENTS))
-
-    val = sub.add_parser("validate", help="check the paper's shape claims")
-    val.add_argument("--only", nargs="*", help="claim ids to run (default all)")
-
-    rep = sub.add_parser("report", help="regenerate every table & figure")
-    rep.add_argument("--out", default=None,
-                     help="write the full report to this file (default stdout)")
-
-    roof = sub.add_parser("roofline", help="roofline-classify a pipeline")
-    roof.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    roof.add_argument("--model", choices=_model_choices(), default="gcn")
-    roof.add_argument("--dataset", default="CR")
-
-    tr = sub.add_parser(
-        "trace", help="profile one cell and export a Chrome-trace timeline"
-    )
-    tr.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    tr.add_argument("--model", choices=_model_choices(), default="gcn")
-    tr.add_argument("--dataset", default="CR")
-    tr.add_argument("--out", default="trace.json",
-                    help="timeline output path (default trace.json)")
-    tr.add_argument("--archive", default=None, metavar="DIR",
-                    help="also record the profile into this archive directory")
-    tr.add_argument("--max-block-events", type=int, default=20_000,
-                    help="per-kernel cap on replayed block events")
-
-    diff = sub.add_parser(
-        "diff", help="compare two archived profile runs (exit 1 on regression)"
-    )
-    diff.add_argument("baseline", help="archived run JSON (the reference)")
-    diff.add_argument("candidate", help="archived run JSON to check")
-
-    sv = sub.add_parser(
-        "serve", help="simulated online inference serving on the modeled GPU"
-    )
-    sv.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    sv.add_argument("--model", choices=_model_choices(), default="gcn")
-    sv.add_argument("--dataset", default="CR")
-    sv.add_argument("--arrival", choices=["poisson", "bursty"], default="poisson")
-    sv.add_argument("--rate", type=float, default=None,
-                    help="offered req/s (default: half the system's offline "
-                    "service rate, i.e. 0.5/runtime)")
-    sv.add_argument("--requests", type=int, default=200,
-                    help="trace length (default 200)")
-    sv.add_argument("--job", choices=["full", "targets"], default="full",
-                    help="per-request inference job kind")
-    sv.add_argument("--targets", type=int, default=16,
-                    help="vertices per request for --job targets")
-    sv.add_argument("--max-batch", type=int, default=8)
-    sv.add_argument("--window-us", type=float, default=200.0,
-                    help="batching deadline window in microseconds")
-    sv.add_argument("--streams", type=int, default=2,
-                    help="concurrent CUDA-like streams")
-    sv.add_argument("--queue-depth", type=int, default=64,
-                    help="admission bound on in-system requests")
-    sv.add_argument("--slo-ms", type=float, default=None,
-                    help="latency SLO in ms: enables burn-rate monitoring "
-                    "on a single run; for --compare, the p99 bar "
-                    "(default 2.5x DGL offline)")
-    sv.add_argument("--slo-objective", type=float, default=0.99,
-                    help="SLO good fraction (default 0.99 = 1%% budget)")
-    sv.add_argument("--metrics-out", default=None, metavar="PATH",
-                    help="append the run's obs metrics as JSONL")
-    sv.add_argument("--trace", default=None, metavar="PATH", dest="trace_out",
-                    help="collect per-request span trees and write them as "
-                    "a Chrome trace (one track per request + per stream)")
-    sv.add_argument("--tree", type=int, default=0, metavar="N",
-                    help="print the span trees of the N slowest requests")
-    sv.add_argument("--compare", action="store_true",
-                    help="run the TLPGNN vs DGL-sim vs GNNAdvisor serving "
-                    "scenario under identical traces")
-    sv.add_argument("--smoke", action="store_true",
-                    help="small fast run + conservation self-check (CI)")
-    sv.add_argument("--opt", choices=["off", "safe", "search"], default=None,
-                    help="plan-IR optimizer level for the served pipeline "
-                    "(search consults the tuned-plan store first)")
-    sv.add_argument("--lint", action="store_true",
-                    help="preflight: statically lint the served plan and "
-                    "its cross-stream schedule; refuse to serve on "
-                    "error-severity findings")
-    sv.add_argument("--certified", action="store_true",
-                    help="preflight: refuse to serve unless the tuned-plan "
-                    "store holds a valid equivalence certificate for this "
-                    "cell (EQ004 on tampered/stale/missing certificates)")
-    sv.add_argument("--store", default=None, metavar="FILE",
-                    help="load the tuned-plan store from this JSON path "
-                    "for the serve (what --opt search replays and "
-                    "--certified re-verifies)")
-
-    top = sub.add_parser(
-        "top", help="serve with SLO monitoring and render the health "
-        "dashboard"
-    )
-    top.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    top.add_argument("--model", choices=_model_choices(),
-                     default="gcn")
-    top.add_argument("--dataset", default="CR")
-    top.add_argument("--arrival", choices=["poisson", "bursty"],
-                     default="poisson")
-    top.add_argument("--rate", type=float, default=None,
-                     help="offered req/s (default: --load x offline rate)")
-    top.add_argument("--load", type=float, default=0.8,
-                     help="offered load as a multiple of the system's "
-                     "offline service rate (default 0.8)")
-    top.add_argument("--requests", type=int, default=200)
-    top.add_argument("--max-batch", type=int, default=8)
-    top.add_argument("--streams", type=int, default=2)
-    top.add_argument("--queue-depth", type=int, default=64)
-    top.add_argument("--slo-ms", type=float, default=None,
-                     help="latency SLO in ms (default 2.5x offline runtime)")
-    top.add_argument("--slo-objective", type=float, default=0.99)
-
-    me = sub.add_parser(
-        "metrics", help="Prometheus-style text exposition of serving metrics"
-    )
-    me.add_argument("--expose", action="store_true", default=True,
-                    help="render the Prometheus text format (the default "
-                    "and only mode)")
-    me.add_argument("--from-jsonl", default=None, metavar="PATH",
-                    help="re-expose a --metrics-out JSONL file instead of "
-                    "running a workload (last record per metric wins)")
-    me.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    me.add_argument("--model", choices=_model_choices(),
-                    default="gcn")
-    me.add_argument("--dataset", default="CR")
-    me.add_argument("--requests", type=int, default=64)
-
-    rg = sub.add_parser(
-        "regress", help="compare HEAD probes against the BENCH_*.json "
-        "perf trajectory (exit 1 on regression)"
-    )
-    rg.add_argument("--probe", choices=["serving", "table5", "autotune", "all"],
-                    default="all")
-    rg.add_argument("--store-dir", default=".", metavar="DIR",
-                    help="directory holding the BENCH_<probe>.json trend "
-                    "stores (default: current directory)")
-    rg.add_argument("--record", action="store_true",
-                    help="append a trajectory point at HEAD instead of "
-                    "comparing")
-
-    pl = sub.add_parser(
-        "plan", help="lower a cell and print each system's execution plan"
-    )
-    pl.add_argument("dataset", help="dataset abbreviation (e.g. CR)")
-    pl.add_argument("model", choices=_model_choices())
-    pl.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    pl.add_argument("--lint", action="store_true",
-                    help="append the static lint report to each plan")
-
-    li = sub.add_parser(
-        "lint",
-        help="static hazard/resource/determinism/access analysis of plans",
-    )
-    li.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    li.add_argument("--model", action="append", default=None,
-                    choices=_model_choices(),
-                    help="model(s) to lint (default: gcn and gat)")
-    li.add_argument("--dataset", action="append", default=None,
-                    help="dataset abbreviation(s) (default: CR CS PD)")
-    li.add_argument("--strict", action="store_true",
-                    help="exit 1 on error-severity findings; with "
-                    "--baseline, on ANY finding the baseline does not "
-                    "already record")
-    li.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the findings as a stable JSON array "
-                    "(plan/code/severity/op/buffer/message) instead of text")
-    li.add_argument("--format", choices=["text", "json", "sarif"],
-                    default=None, dest="fmt",
-                    help="output format (sarif = SARIF 2.1.0 log for CI "
-                    "code-scanning upload); --json is shorthand for "
-                    "--format json")
-    li.add_argument("--baseline", default=None, metavar="FILE",
-                    help="suppress findings recorded in this baseline JSON "
-                    "(keyed plan/code/op/buffer); stale suppressions are "
-                    "reported")
-    li.add_argument("--write-baseline", default=None, metavar="FILE",
-                    help="record every finding of this run into FILE as a "
-                    "baseline for --baseline")
-    li.add_argument("--prune-baseline", action="store_true",
-                    help="with --baseline: rewrite the file dropping "
-                    "suppressions that match no current finding")
-    li.add_argument("--explain", default=None, metavar="CODE",
-                    help="print the registry entry for one finding code "
-                    "(e.g. ACC002) and exit; unknown codes exit 2 with "
-                    "the nearest registered code suggested")
-    li.add_argument("--streams", type=int, default=2,
-                    help="streams for the per-cell serving race self-check "
-                    "(default 2; 0 disables the check)")
-
-    vf = sub.add_parser(
-        "verify",
-        help="certify that the optimizer's rewrites preserve each cell's "
-        "dataflow normal form (translation validation)",
-    )
-    vf.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    vf.add_argument("--model", action="append", default=None,
-                    choices=_model_choices(),
-                    help="model(s) to certify (default: gcn and gat)")
-    vf.add_argument("--dataset", action="append", default=None,
-                    help="dataset abbreviation(s) (default: CR CS PD)")
-    vf.add_argument("--level", choices=["safe", "search"], default="search",
-                    help="optimizer level to certify (default search)")
-    vf.add_argument("--budget", type=int, default=16,
-                    help="max candidate plans a searching pass may score")
-    vf.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit per-cell certification rows as a JSON array")
-    vf.add_argument("--format", choices=["text", "json", "sarif"],
-                    default=None, dest="fmt",
-                    help="output format (sarif = SARIF 2.1.0 log of the "
-                    "EQ findings)")
-
-    op = sub.add_parser(
-        "opt",
-        help="run the plan-IR optimizer pass pipeline on one cell and "
-        "show each pass's rewrite decision",
-    )
-    op.add_argument("dataset", help="dataset abbreviation (e.g. CR)")
-    op.add_argument("model", choices=_model_choices())
-    op.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    op.add_argument("--level", choices=["safe", "search"], default="search",
-                    help="optimizer level (default search)")
-    op.add_argument("--budget", type=int, default=32,
-                    help="max candidate plans a searching pass may score")
-    op.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit per-system pass records as a JSON array")
-
-    tn = sub.add_parser(
-        "tune",
-        help="auto-tune the compute-kernel knob space of one or more "
-        "cells; persists winners in the tuned-plan store",
-    )
-    tn.add_argument("--dataset", action="append", default=None,
-                    help="dataset abbreviation(s) (default: CR); repeatable")
-    tn.add_argument("--model", choices=_model_choices(),
-                    default="gcn")
-    tn.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    tn.add_argument("--budget", type=int, default=32,
-                    help="max distinct candidate measurements per cell")
-    tn.add_argument("--store", default=None, metavar="FILE",
-                    help="load/save the tuned-plan store at this JSON path")
-    tn.add_argument("--warm", action="store_true",
-                    help="after tuning, run each cell with opt=search so "
-                    "the PlanCache holds the tuned plan")
-    tn.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the tuning results as a JSON array")
-
-    ud = sub.add_parser(
-        "udf",
-        help="describe a registered message-passing UDF: spec signature, "
-        "derived framework lowering, derived effect/access tables",
-    )
-    ud.add_argument("model", nargs="?", default=None,
-                    help="registered model name (default: list all)")
-    ud.add_argument("--dataset", default="CR",
-                    help="cell to bind the spec against (default CR)")
-    ud.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the description as JSON")
+    cell = _cell_options(sorted(SYSTEMS), _model_choices())
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(
+            name, help=cmd.help, description=f"{cmd.help} {cmd.detail}"
+        )
+        options = [cell[key] for key in cmd.cell]
+        options += SERVING if cmd.serving else ()
+        for flags, kwargs in (*options, *cmd.options):
+            sp.add_argument(*flags, **kwargs)
+        if cmd.formats:
+            fmt = sp.add_mutually_exclusive_group()
+            fmt.add_argument("--json", action="store_const", const="json",
+                             dest="fmt", default="text",
+                             help="emit JSON instead of text")
+            if len(cmd.formats) > 1:
+                # no default of its own (--json's stands), so that even
+                # "--format text" counts as given next to --json
+                fmt.add_argument("--format", choices=("text", *cmd.formats),
+                                 dest="fmt", default=argparse.SUPPRESS,
+                                 help="output format (sarif: a SARIF 2.1.0 "
+                                 "log for code-scanning upload)")
     return p
 
 
-def _config(args: argparse.Namespace) -> BenchConfig:
-    return BenchConfig(feat_dim=args.feat, max_edges=args.max_edges, seed=args.seed)
+# ----------------------------------------------------------------------
+# shared plumbing
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _installed(setter: Callable[[Any], Any], value: Any) -> Iterator[Any]:
+    """Install ``value`` through a ``set_*`` hook for the block, then put
+    back whatever it replaced."""
+    previous = setter(value)
+    try:
+        yield value
+    finally:
+        setter(previous)
 
 
-def _cell(args, config):
+def _walk(
+    args: argparse.Namespace, cells: Iterable[Cell], models: list[str] | None
+) -> Iterator[tuple[Cell, str, str, Any]]:
+    """Lower each cell on ``--system`` (or every system), dash-aware."""
+    systems = [args.system] if args.system else None
+    return walk_grid(cells, Cell.lower, models=models, systems=systems)
+
+
+def _archive(args, config, cell: Cell, res, out) -> None:
+    """Record a profile into ``--archive DIR`` when given (run, trace)."""
+    if args.archive:
+        path = ProfileArchive(args.archive).record(
+            res.report, seed=config.seed, feat_dim=config.feat_dim,
+            max_edges=config.max_edges, spec=cell.spec,
+            graph=cell.dataset.graph,
+        )
+        print(f"archived profile -> {path}", file=out)
+
+
+def _servable(args, config, out, *, opt: str | None = None):
+    """The served (system, model, dataset) unit, or None (reported) when
+    the system does not implement the model."""
+    from .frameworks.base import UnsupportedModelError
+    from .serve import ServableModel
+
     dataset = get_dataset(args.dataset, config)
-    X = make_features(dataset.graph.num_vertices, config.feat_dim, seed=config.seed)
-    return dataset, X
+    try:
+        return ServableModel(
+            SYSTEMS[args.system](), args.model, dataset,
+            feat_dim=config.feat_dim, spec=config.spec_for(dataset),
+            seed=config.seed, opt=opt,
+        )
+    except UnsupportedModelError as exc:
+        print(f"cannot serve: {exc}", file=out)
+        return None
 
 
-def cmd_datasets(args: argparse.Namespace, out) -> int:
-    from .bench import table4
+def _serve_config(args, servable, *, load: float = 0.5, **fields):
+    """The ServeConfig of a serving command: every option whose dest names
+    a ServeConfig field (the serving group's, ``--seed``), then
+    ``fields``.  The offered rate defaults to ``load`` x the offline
+    service rate."""
+    from .serve import ServeConfig
 
-    print(table4(_config(args)).render(), file=out)
+    values = {
+        f.name: getattr(args, f.name)
+        for f in dataclass_fields(ServeConfig)
+        if hasattr(args, f.name)
+    }
+    values["rate_hz"] = (
+        values.get("rate_hz") or load / servable.offline_runtime_s
+    )
+    values["max_concurrent"] = servable.spec.max_concurrent_kernels
+    return ServeConfig(**{**values, **fields})
+
+
+def _publish_caches(registry) -> None:
+    """Mirror the plan-cache and tuned-store counters (plans_tuned,
+    tuned_plan_hit, tuned_plan_miss) into ``registry``."""
+    from .opt import get_tuned_store
+    from .plan import get_plan_cache
+
+    cache = get_plan_cache()
+    if cache is not None:
+        cache.publish(registry)
+    get_tuned_store().publish(registry)
+
+
+def _load_store(path: str, out, *, create: bool = False):
+    """The tuned-plan store at ``path`` (a new one when ``create`` and the
+    file does not exist), or None after reporting why it is unreadable."""
+    from .opt import TunedPlanStore
+
+    if create and not os.path.exists(path):
+        return TunedPlanStore()
+    try:
+        return TunedPlanStore.load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: cannot read store {path}: {exc}", file=out)
+        return None
+
+
+# ----------------------------------------------------------------------
+# profiling
+# ----------------------------------------------------------------------
+def cmd_datasets(args, config, out) -> int:
+    print(ALL_EXPERIMENTS["table4"](config).render(), file=out)
     return 0
 
 
-def _archive_report(report, args, config, spec, out, *, graph=None) -> None:
-    """Record a profile into ``--archive DIR`` (shared by run/trace)."""
-    archive = ProfileArchive(args.archive)
-    path = archive.record(
-        report, seed=config.seed, feat_dim=config.feat_dim,
-        max_edges=config.max_edges, spec=spec, graph=graph,
-    )
-    print(f"archived profile -> {path}", file=out)
-
-
-def cmd_run(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    dataset, X = _cell(args, config)
+def cmd_run(args, config, out) -> int:
+    cell = load_cell(args.dataset, config)
     res = run_system(
-        SYSTEMS[args.system](), args.model, dataset, config, X=X,
-        opt=getattr(args, "opt", None),
+        SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X,
+        opt=args.opt,
     )
     if res is None:
         print(
@@ -424,24 +287,20 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         )
         return 1
     print(res.report.summary(), file=out)
-    if args.archive:
-        _archive_report(
-            res.report, args, config, config.spec_for(dataset), out,
-            graph=dataset.graph,
-        )
+    _archive(args, config, cell, res, out)
     return 0
 
 
-def cmd_compare(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    dataset, X = _cell(args, config)
+def cmd_compare(args, config, out) -> int:
+    cell = load_cell(args.dataset, config)
+    graph = cell.dataset.graph
     rows = []
     for name, factory in SYSTEMS.items():
-        res = run_system(factory(), args.model, dataset, config, X=X)
+        res = run_system(factory(), args.model, cell.dataset, config, X=cell.X)
         rows.append((name, res.runtime_ms if res else None))
     ok = [(n, t) for n, t in rows if t is not None]
     print(f"{args.model.upper()} on {args.dataset} "
-          f"(|V|={dataset.graph.num_vertices:,}, |E|={dataset.graph.num_edges:,}):",
+          f"(|V|={graph.num_vertices:,}, |E|={graph.num_edges:,}):",
           file=out)
     if not ok:
         # every system dashed this cell: still render the table, exit 1
@@ -458,17 +317,14 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace, out) -> int:
+def cmd_trace(args, config, out) -> int:
     from .obs.timeline import write_timeline
 
-    config = _config(args)
-    dataset, X = _cell(args, config)
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
-        res = run_system(SYSTEMS[args.system](), args.model, dataset, config, X=X)
-    finally:
-        set_tracer(previous)
+    cell = load_cell(args.dataset, config)
+    with _installed(set_tracer, Tracer()) as tracer:
+        res = run_system(
+            SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X
+        )
     if res is None:
         print(
             f"{args.system} cannot run {args.model} on {args.dataset} "
@@ -476,9 +332,8 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
             file=out,
         )
         return 1
-    spec = config.spec_for(dataset)
     trace = write_timeline(
-        args.out, res, spec, tracer=tracer,
+        args.out, res, cell.spec, tracer=tracer,
         max_block_events_per_kernel=args.max_block_events,
     )
     meta = trace["otherData"]
@@ -489,12 +344,11 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
            if meta["dropped_events"] else ""),
         file=out,
     )
-    if args.archive:
-        _archive_report(res.report, args, config, spec, out, graph=dataset.graph)
+    _archive(args, config, cell, res, out)
     return 0
 
 
-def cmd_diff(args: argparse.Namespace, out) -> int:
+def cmd_diff(args, config, out) -> int:
     try:
         baseline = load_run(args.baseline)
         candidate = load_run(args.candidate)
@@ -515,23 +369,19 @@ def cmd_diff(args: argparse.Namespace, out) -> int:
     return 0 if diff.ok else 1
 
 
-def cmd_experiment(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    if args.id in ("table1", "table2") and args.feat == 32:
-        config = BenchConfig(
-            feat_dim=128, max_edges=args.max_edges, seed=args.seed
-        )
-    result = ALL_EXPERIMENTS[args.id](config)
-    print(result.render(), file=out)
+def cmd_experiment(args, config, out) -> int:
+    print(ALL_EXPERIMENTS[args.id](config).render(), file=out)
     return 0
 
 
-def cmd_roofline(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    dataset, X = _cell(args, config)
-    spec = config.spec_for(dataset)
-    system = SYSTEMS[args.system]()
-    res = run_system(system, args.model, dataset, config, X=X)
+def cmd_roofline(args, config, out) -> int:
+    from .gpusim.scheduler import ScheduleResult
+    from .plan import time_parts
+
+    cell = load_cell(args.dataset, config)
+    res = run_system(
+        SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X
+    )
     if res is None:
         print("cell not supported", file=out)
         return 1
@@ -542,42 +392,26 @@ def cmd_roofline(args: argparse.Namespace, out) -> int:
         file=out,
     )
     for stats in res.report.stats.kernels:
-        from .gpusim.scheduler import ScheduleResult
-
-        sched = ScheduleResult(
-            makespan_cycles=float(stats.warp_cycles.sum())
-            if stats.warp_cycles.size
-            else 1.0,
-            busy_warp_cycles=float(stats.warp_cycles.sum()),
-            overhead_cycles=0.0,
-            num_units=1,
-            policy="report",
-        )
         timing = next(
             (k for k in res.report.timing.kernels if k.name == stats.name),
             None,
         )
         if timing is None:
-            from .plan import time_parts
-
-            timing = time_parts([(stats, sched)], spec)[0]
-        print("  " + roofline(stats, timing, spec).describe(), file=out)
+            busy = float(stats.warp_cycles.sum())
+            sched = ScheduleResult(
+                makespan_cycles=busy if stats.warp_cycles.size else 1.0,
+                busy_warp_cycles=busy, overhead_cycles=0.0, num_units=1,
+                policy="report",
+            )
+            timing = time_parts([(stats, sched)], cell.spec)[0]
+        print("  " + roofline(stats, timing, cell.spec).describe(), file=out)
     return 0
 
 
-def cmd_report(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    config128 = BenchConfig(
-        feat_dim=128, max_edges=args.max_edges, seed=args.seed
-    )
-    sections = []
-    for exp_id, fn in ALL_EXPERIMENTS.items():
-        cfg = config128 if exp_id in ("table1", "table2") else config
-        sections.append(fn(cfg).render())
+def cmd_report(args, config, out) -> int:
+    sections = [fn(config).render() for fn in ALL_EXPERIMENTS.values()]
     report = "\n\n".join(sections)
     if args.out:
-        from pathlib import Path
-
         Path(args.out).write_text(report + "\n")
         print(f"wrote {len(sections)} experiments to {args.out}", file=out)
     else:
@@ -585,10 +419,10 @@ def cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace, out) -> int:
+def cmd_validate(args, config, out) -> int:
     from .bench import validate_claims
 
-    results = validate_claims(_config(args), only=args.only)
+    results = validate_claims(config, only=args.only)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -599,35 +433,18 @@ def cmd_validate(args: argparse.Namespace, out) -> int:
     return 1 if failed else 0
 
 
-def _make_servable(args: argparse.Namespace, config, out):
-    """Build the (servable, spec) pair of a serving command, or None when
-    the system does not implement the model."""
-    from .frameworks.base import UnsupportedModelError
-    from .serve import ServableModel
-
-    dataset = get_dataset(args.dataset, config)
-    spec = config.spec_for(dataset)
-    try:
-        servable = ServableModel(
-            SYSTEMS[args.system](), args.model, dataset,
-            feat_dim=config.feat_dim, spec=spec, seed=config.seed,
-            opt=getattr(args, "opt", None),
-        )
-    except UnsupportedModelError as exc:
-        print(f"cannot serve: {exc}", file=out)
-        return None
-    return servable, spec
-
-
-def _serve_preflight(servable, spec, streams: int, out) -> int:
+# ----------------------------------------------------------------------
+# serving
+# ----------------------------------------------------------------------
+def _serve_preflight(servable, streams: int, out) -> int:
     """``serve --lint``: statically verify the plan and its cross-stream
     schedule before admitting any traffic.  Non-zero = refuse to serve."""
     from .lint import lint_plan, lint_schedule, serving_schedule
 
     plan = servable.system.lower(
-        servable.model, servable.data, servable.X, spec
+        servable.model, servable.data, servable.X, servable.spec
     )
-    report = lint_plan(plan, spec)
+    report = lint_plan(plan, servable.spec)
     sched_report = lint_schedule(
         serving_schedule(plan, num_streams=max(streams, 1), batches=2)
     )
@@ -640,13 +457,14 @@ def _serve_preflight(servable, spec, streams: int, out) -> int:
     return 0
 
 
-def _certified_preflight(servable, spec, out) -> int:
+def _certified_preflight(servable, out) -> int:
     """``serve --certified``: re-verify the tuned-plan store's equivalence
     certificate for the served cell.  Non-zero = refuse to serve."""
     from .verify import check_tuned_certificate
 
     check = check_tuned_certificate(
-        servable.system, servable.model, servable.data, servable.X, spec
+        servable.system, servable.model, servable.data, servable.X,
+        servable.spec,
     )
     print(check.render(), file=out)
     if not check.ok:
@@ -660,39 +478,35 @@ def _certified_preflight(servable, spec, out) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace, out) -> int:
-    import json
-
+def cmd_serve(args, config, out) -> int:
     from .bench.serving import serving_scenario
     from .obs.metrics import MetricsRegistry, get_registry, set_registry
-    from .obs.reqtrace import RequestTraceCollector, set_request_collector
-    from .plan import get_plan_cache
-    from .serve import ServeConfig, serve_trace
+    from .obs.reqtrace import (
+        RequestTraceCollector,
+        get_request_collector,
+        set_request_collector,
+    )
+    from .opt import get_tuned_store, set_tuned_store
+    from .serve import serve_trace
 
-    config = _config(args)
-    previous_store = None
+    store = get_tuned_store()
     if args.store:
-        from .opt import TunedPlanStore, set_tuned_store
-
-        try:
-            loaded_store = TunedPlanStore.load(args.store)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read store {args.store}: {exc}", file=out)
+        store = _load_store(args.store, out)
+        if store is None:
             return 2
-        previous_store = set_tuned_store(loaded_store)
     # reuse an already-installed registry so repeated in-process serves
     # accumulate counters (plan_cache_hit across warm passes included);
     # "is None" rather than "or": an empty registry is falsy (len 0)
     registry = get_registry()
     if registry is None:
         registry = MetricsRegistry()
-    previous = set_registry(registry)
-    collector = None
-    previous_collector = None
-    if args.trace_out or args.tree:
-        collector = RequestTraceCollector()
-        previous_collector = set_request_collector(collector)
-    try:
+    collector = (
+        RequestTraceCollector() if args.trace_out or args.tree
+        else get_request_collector()
+    )
+    with _installed(set_tuned_store, store), \
+            _installed(set_registry, registry), \
+            _installed(set_request_collector, collector):
         if args.compare:
             result = serving_scenario(
                 config, model=args.model, slo_ms=args.slo_ms, registry=registry
@@ -700,34 +514,22 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             print(result.render(), file=out)
             rc = 0
         else:
-            num_requests = args.requests
-            max_batch, streams = args.max_batch, args.streams
             if args.smoke:
-                num_requests = min(num_requests, 64)
-                max_batch = min(max_batch, 4)
-                streams = min(streams, 2)
-            made = _make_servable(args, config, out)
-            if made is None:
+                args.num_requests = min(args.num_requests, 64)
+                args.max_batch = min(args.max_batch, 4)
+                args.num_streams = min(args.num_streams, 2)
+            servable = _servable(args, config, out, opt=args.opt)
+            if servable is None:
                 return 1
-            servable, spec = made
-            if args.lint:
-                rc = _serve_preflight(servable, spec, streams, out)
-                if rc:
-                    return rc
-            if args.certified:
-                rc = _certified_preflight(servable, spec, out)
-                if rc:
-                    return rc
-            rate = args.rate or 0.5 / servable.offline_runtime_s
-            cfg = ServeConfig(
-                arrival=args.arrival, rate_hz=rate, num_requests=num_requests,
-                job=args.job, targets_per_request=args.targets,
-                max_batch=max_batch, window_s=args.window_us * 1e-6,
-                num_streams=streams, queue_depth=args.queue_depth,
-                max_concurrent=spec.max_concurrent_kernels, seed=config.seed,
-                slo_ms=args.slo_ms, slo_objective=args.slo_objective,
-            )
-            report = serve_trace(servable, cfg)
+            if args.lint and (
+                rc := _serve_preflight(servable, args.num_streams, out)
+            ):
+                return rc
+            if args.certified and (rc := _certified_preflight(servable, out)):
+                return rc
+            report = serve_trace(servable, _serve_config(
+                args, servable, window_s=args.window_us * 1e-6
+            ))
             report.publish(registry, system=args.system, dataset=args.dataset)
             print(report.summary(), file=out)
             rc = 0
@@ -739,73 +541,49 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                 )
                 print(f"serve smoke: {'OK' if ok else 'FAILED'}", file=out)
                 rc = 0 if ok else 1
-        if collector is not None:
-            if args.tree:
-                for trace in collector.slowest(args.tree):
-                    print(trace.render_tree(), file=out)
-            if args.trace_out:
-                events = collector.to_chrome_trace()
-                with open(args.trace_out, "w") as fh:
-                    json.dump({"traceEvents": events}, fh)
-                print(
-                    f"wrote {args.trace_out}: {len(events)} events, "
-                    f"{len(collector.completed)} request track(s), "
-                    f"{len(collector.shed)} shed",
-                    file=out,
-                )
+        if args.tree:
+            for trace in collector.slowest(args.tree):
+                print(trace.render_tree(), file=out)
+        if args.trace_out:
+            events = collector.to_chrome_trace()
+            with open(args.trace_out, "w") as fh:
+                json.dump({"traceEvents": events}, fh)
+            print(
+                f"wrote {args.trace_out}: {len(events)} events, "
+                f"{len(collector.completed)} request track(s), "
+                f"{len(collector.shed)} shed",
+                file=out,
+            )
         if args.metrics_out:
-            cache = get_plan_cache()
-            if cache is not None:
-                cache.publish(registry)
-            # mirror the plan-cache counters with the tuner's activity
-            # (plans_tuned / tuned_plan_hit / tuned_plan_miss)
-            from .opt import get_tuned_store
-
-            get_tuned_store().publish(registry)
+            _publish_caches(registry)
             n = registry.dump_jsonl(args.metrics_out)
             print(f"wrote {n} metrics to {args.metrics_out}", file=out)
         return rc
-    finally:
-        if collector is not None:
-            set_request_collector(previous_collector)
-        set_registry(previous)
-        if previous_store is not None:
-            from .opt import set_tuned_store
-
-            set_tuned_store(previous_store)
 
 
-def cmd_top(args: argparse.Namespace, out) -> int:
+def cmd_top(args, config, out) -> int:
     """Serve one workload with SLO monitoring; render the dashboard."""
     from .obs.dashboard import render_top
-    from .serve import ServeConfig, serve_trace
+    from .serve import serve_trace
 
-    config = _config(args)
-    made = _make_servable(args, config, out)
-    if made is None:
+    servable = _servable(args, config, out)
+    if servable is None:
         return 1
-    servable, spec = made
-    offline_s = servable.offline_runtime_s
-    slo_ms = args.slo_ms if args.slo_ms is not None else 2.5 * offline_s * 1e3
-    rate = args.rate or args.load / offline_s
-    cfg = ServeConfig(
-        arrival=args.arrival, rate_hz=rate, num_requests=args.requests,
-        max_batch=args.max_batch, num_streams=args.streams,
-        queue_depth=args.queue_depth,
-        max_concurrent=spec.max_concurrent_kernels, seed=config.seed,
-        slo_ms=slo_ms, slo_objective=args.slo_objective,
+    slo_ms = args.slo_ms
+    if slo_ms is None:
+        slo_ms = 2.5 * servable.offline_runtime_s * 1e3
+    report = serve_trace(
+        servable, _serve_config(args, servable, load=args.load, slo_ms=slo_ms)
     )
-    report = serve_trace(servable, cfg)
     print(render_top(report.slo, report=report), file=out)
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace, out) -> int:
+def cmd_metrics(args, config, out) -> int:
     """Prometheus text exposition: from a JSONL dump or a fresh run."""
     from .obs.expose import records_from_jsonl, render_prometheus
     from .obs.metrics import MetricsRegistry, set_registry
-    from .plan import get_plan_cache
-    from .serve import ServeConfig, serve_trace
+    from .serve import serve_trace
 
     if args.from_jsonl:
         try:
@@ -815,39 +593,24 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
             return 2
         print(render_prometheus(records), end="", file=out)
         return 0
-    config = _config(args)
-    made = _make_servable(args, config, out)
-    if made is None:
+    servable = _servable(args, config, out)
+    if servable is None:
         return 1
-    servable, spec = made
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        cfg = ServeConfig(
-            rate_hz=0.5 / servable.offline_runtime_s,
-            num_requests=args.requests, max_batch=4, num_streams=2,
-            max_concurrent=spec.max_concurrent_kernels, seed=config.seed,
+    with _installed(set_registry, MetricsRegistry()) as registry:
+        report = serve_trace(servable, _serve_config(
+            args, servable, max_batch=4, num_streams=2,
             slo_ms=2.5 * servable.offline_runtime_s * 1e3,
-        )
-        report = serve_trace(servable, cfg)
+        ))
         report.publish(registry, system=args.system, dataset=args.dataset)
-        cache = get_plan_cache()
-        if cache is not None:
-            cache.publish(registry)
-        from .opt import get_tuned_store
-
-        get_tuned_store().publish(registry)
-    finally:
-        set_registry(previous)
+        _publish_caches(registry)
     print(render_prometheus(registry), end="", file=out)
     return 0
 
 
-def cmd_regress(args: argparse.Namespace, out) -> int:
+def cmd_regress(args, config, out) -> int:
     """Compare HEAD probe metrics against the recorded perf trajectory."""
     from .bench.regress import PROBES, compare_point, default_store_path, record_point
 
-    config = _config(args)
     names = sorted(PROBES) if args.probe == "all" else [args.probe]
     rc = 0
     for name in names:
@@ -879,246 +642,173 @@ def cmd_regress(args: argparse.Namespace, out) -> int:
     return rc
 
 
-def cmd_plan(args: argparse.Namespace, out) -> int:
+# ----------------------------------------------------------------------
+# plans: inspect, lint, verify, optimize, tune, describe
+# ----------------------------------------------------------------------
+def cmd_plan(args, config, out) -> int:
     """Lower one cell per system and print the plan (no execution)."""
-    from .frameworks.base import CapacityError, UnsupportedModelError
+    from .lint import lint_plan
 
-    config = _config(args)
-    dataset, X = _cell(args, config)
-    spec = config.spec_for(dataset)
-    names = [args.system] if args.system else sorted(SYSTEMS)
+    cell = load_cell(args.dataset, config)
+    graph = cell.dataset.graph
     print(
         f"{args.model.upper()} on {args.dataset} "
-        f"(|V|={dataset.graph.num_vertices:,}, "
-        f"|E|={dataset.graph.num_edges:,}):\n",
+        f"(|V|={graph.num_vertices:,}, |E|={graph.num_edges:,}):\n",
         file=out,
     )
     lowered = 0
-    for name in names:
-        try:
-            plan = SYSTEMS[name]().lower(args.model, dataset, X, spec)
-        except (UnsupportedModelError, CapacityError) as exc:
-            print(f"{name}: - ({type(exc).__name__}: {exc})\n", file=out)
+    for _, _, name, plan in _walk(args, [cell], [args.model]):
+        if isinstance(plan, Exception):
+            print(f"{name}: - ({type(plan).__name__}: {plan})\n", file=out)
             continue
         print(plan.describe(), file=out)
         if args.lint:
-            from .lint import lint_plan
-
-            print("  lint: " + lint_plan(plan, spec).render(), file=out)
+            print("  lint: " + lint_plan(plan, cell.spec).render(), file=out)
         print(file=out)
         lowered += 1
     return 0 if lowered else 1
 
 
-def _load_baseline(path: str) -> set[tuple[str, str, str, str]]:
-    """Known-finding keys of a lint baseline file (see --write-baseline)."""
-    import json
-
-    with open(path) as fh:
-        data = json.load(fh)
-    return {
-        (
-            entry.get("plan", ""),
-            entry.get("code", ""),
-            entry.get("op", ""),
-            entry.get("buffer", ""),
-        )
-        for entry in data.get("findings", ())
-    }
+_BASELINE_KEY = ("plan", "code", "op", "buffer")
 
 
-def cmd_lint(args: argparse.Namespace, out) -> int:
-    """Statically lint the lowered plans of a grid of cells (no execution)."""
-    import json
+def _baseline_key(entry: dict) -> tuple[str, ...]:
+    return tuple(entry.get(k, "") for k in _BASELINE_KEY)
 
-    from .frameworks.base import CapacityError, UnsupportedModelError
-    from .lint import (
-        finding_rows,
-        lint_plan,
-        race_findings,
-        serving_schedule,
+
+def _write_baseline(path: str, findings: list[dict]) -> None:
+    with open(path, "w") as fh:
+        json.dump({"version": 1, "findings": findings}, fh, indent=2)
+        fh.write("\n")
+
+
+def _explain(code: str, out) -> int:
+    """``lint --explain CODE``: one registry entry, or exit 2 with the
+    nearest registered code suggested."""
+    import difflib
+
+    from .lint import RULES, explain
+
+    if code.upper() in RULES:
+        print(explain(code.upper()), file=out)
+        return 0
+    close = difflib.get_close_matches(
+        code.upper(), sorted(RULES), n=1, cutoff=0.4
     )
+    hint = f" — did you mean {close[0]}?" if close else ""
+    print(f"unknown finding code: {code}{hint}", file=out)
+    return 2
+
+
+def cmd_lint(args, config, out) -> int:
+    """Statically lint the lowered plans of a grid of cells (no execution)."""
+    from .lint import finding_rows, lint_plan, race_findings, sarif_log, serving_schedule
     from .lint.report import LintReport
 
     if args.explain:
-        from .lint import RULES, explain
-
-        try:
-            print(explain(args.explain.upper()), file=out)
-        except KeyError:
-            import difflib
-
-            close = difflib.get_close_matches(
-                args.explain.upper(), sorted(RULES), n=1, cutoff=0.4
-            )
-            hint = f" — did you mean {close[0]}?" if close else ""
-            print(f"unknown finding code: {args.explain}{hint}", file=out)
-            return 2
-        return 0
-
-    fmt = args.fmt or ("json" if args.as_json else "text")
-    machine = fmt != "text"
-    baseline_keys: set[tuple[str, str, str, str]] = set()
-    baseline_entries: list[dict] = []
+        return _explain(args.explain, out)
+    entries: list[dict] = []
     if args.baseline:
         try:
             with open(args.baseline) as fh:
-                baseline_entries = json.load(fh).get("findings", [])
-            baseline_keys = _load_baseline(args.baseline)
+                entries = json.load(fh).get("findings", [])
         except (OSError, ValueError) as exc:
             print(f"error: cannot read baseline {args.baseline}: {exc}",
                   file=out)
             return 2
-
-    config = _config(args)
-    systems = [args.system] if args.system else sorted(SYSTEMS)
-    models = args.model or ["gcn", "gat"]
-    datasets = args.dataset or ["CR", "CS", "PD"]
-    errors = warnings_ = cells = suppressed = kept_total = 0
-    kept_rows: list[dict] = []  # unsuppressed findings, grid-stable order
+    baseline = {_baseline_key(entry) for entry in entries}
+    cells = 0
     all_rows: list[dict] = []  # every finding (what --write-baseline records)
-    matched_keys: set[tuple[str, str, str, str]] = set()
+    kept_rows: list[dict] = []  # unsuppressed findings, grid-stable order
     text: list[str] = []
-    for ds_name in datasets:
-        dataset = get_dataset(ds_name, config)
-        X = make_features(
-            dataset.graph.num_vertices, config.feat_dim, seed=config.seed
-        )
-        spec = config.spec_for(dataset)
-        for model in models:
-            for name in systems:
-                try:
-                    plan = SYSTEMS[name]().lower(model, dataset, X, spec)
-                except (UnsupportedModelError, CapacityError) as exc:
-                    text.append(
-                        f"{name}/{model} on {ds_name}: - "
-                        f"({type(exc).__name__})"
-                    )
-                    continue
-                report = lint_plan(plan, spec)
-                findings = list(report.findings)
-                if args.streams > 0:
-                    # concurrency self-check: the schedule repro serve
-                    # would run (N batches of this plan, least-loaded
-                    # stream assignment) must be HB race-free
-                    findings += race_findings(
-                        serving_schedule(
-                            plan, num_streams=args.streams, batches=2
-                        )
-                    )
-                cells += 1
-                kept = []
-                for f, row in zip(
-                    findings, finding_rows(report.plan_label, findings)
-                ):
-                    all_rows.append(row)
-                    key = (report.plan_label, *f.key())
-                    if key in baseline_keys:
-                        matched_keys.add(key)
-                        suppressed += 1
-                        continue
-                    kept.append(f)
-                    kept_rows.append(row)
-                kept_total += len(kept)
-                errors += sum(f.severity == "error" for f in kept)
-                warnings_ += sum(f.severity == "warning" for f in kept)
-                text.append(
-                    LintReport(
-                        plan_label=report.plan_label, findings=tuple(kept)
-                    ).render()
-                )
-    stale_keys = baseline_keys - matched_keys
-    if args.prune_baseline and args.baseline:
-        live = [
-            entry
-            for entry in baseline_entries
-            if (
-                entry.get("plan", ""),
-                entry.get("code", ""),
-                entry.get("op", ""),
-                entry.get("buffer", ""),
+    for cell, model, name, plan in _walk(
+        args, grid_cells(config, args.dataset), args.model
+    ):
+        if isinstance(plan, Exception):
+            text.append(
+                f"{name}/{model} on {cell.abbr}: - ({type(plan).__name__})"
             )
-            in matched_keys
+            continue
+        report = lint_plan(plan, cell.spec)
+        findings = list(report.findings)
+        if args.streams > 0:
+            # concurrency self-check: the schedule repro serve would run
+            # (N batches of this plan, least-loaded stream assignment)
+            # must be HB race-free
+            findings += race_findings(
+                serving_schedule(plan, num_streams=args.streams, batches=2)
+            )
+        cells += 1
+        rows = finding_rows(report.plan_label, findings)
+        all_rows += rows
+        kept = [
+            (f, row) for f, row in zip(findings, rows, strict=True)
+            if _baseline_key(row) not in baseline
         ]
-        with open(args.baseline, "w") as fh:
-            json.dump({"version": 1, "findings": live}, fh, indent=2)
-            fh.write("\n")
-        if not machine:
-            text.append(
-                f"pruned {len(baseline_entries) - len(live)} stale "
-                f"suppression(s) from {args.baseline}"
-            )
+        kept_rows += [row for _, row in kept]
+        text.append(LintReport(
+            plan_label=report.plan_label, findings=tuple(f for f, _ in kept)
+        ).render())
+    matched = {_baseline_key(row) for row in all_rows} & baseline
+    if args.prune_baseline and args.baseline:
+        live = [entry for entry in entries if _baseline_key(entry) in matched]
+        _write_baseline(args.baseline, live)
+        text.append(
+            f"pruned {len(entries) - len(live)} stale "
+            f"suppression(s) from {args.baseline}"
+        )
     if args.write_baseline:
-        baseline = {
-            "version": 1,
-            "findings": [
-                {k: row[k] for k in ("plan", "code", "op", "buffer")}
-                for row in all_rows
-            ],
-        }
-        with open(args.write_baseline, "w") as fh:
-            json.dump(baseline, fh, indent=2)
-            fh.write("\n")
-        if not machine:
-            text.append(
-                f"wrote {len(baseline['findings'])} finding(s) to "
-                f"{args.write_baseline}"
-            )
-    if fmt == "json":
+        written = [{k: row[k] for k in _BASELINE_KEY} for row in all_rows]
+        _write_baseline(args.write_baseline, written)
+        text.append(f"wrote {len(written)} finding(s) to {args.write_baseline}")
+    errors = sum(row["severity"] == "error" for row in kept_rows)
+    if args.fmt == "json":
         # machine mode: the array is the whole output (stable field set)
         print(json.dumps(kept_rows, indent=2), file=out)
-    elif fmt == "sarif":
-        from .lint import sarif_log
-
+    elif args.fmt == "sarif":
         print(json.dumps(sarif_log(kept_rows), indent=2), file=out)
     else:
         for line in text:
             print(line, file=out)
+        warnings_ = sum(row["severity"] == "warning" for row in kept_rows)
         summary = (
             f"\nlinted {cells} plan(s): {errors} error(s), "
             f"{warnings_} warning(s)"
         )
         if args.baseline:
-            summary += f", {suppressed} suppressed by baseline"
-            if stale_keys:
-                summary += (
-                    f", {len(stale_keys)} stale suppression(s)"
-                    + ("" if args.prune_baseline else " (--prune-baseline)")
+            summary += (
+                f", {len(all_rows) - len(kept_rows)} suppressed by baseline"
+            )
+            if stale := len(baseline - matched):
+                summary += f", {stale} stale suppression(s)" + (
+                    "" if args.prune_baseline else " (--prune-baseline)"
                 )
         print(summary, file=out)
     if args.strict:
         # a baseline promotes strict mode to "no new findings at all":
         # the recorded ones are accepted, anything else fails the run
-        failed = kept_total if args.baseline else errors
-        return 1 if failed else 0
+        return 1 if (len(kept_rows) if args.baseline else errors) else 0
     return 0
 
 
-def cmd_opt(args: argparse.Namespace, out) -> int:
+def cmd_opt(args, config, out) -> int:
     """Lower one cell per system, optimize it, and report each pass."""
-    import json
-
-    from .frameworks.base import CapacityError, UnsupportedModelError
     from .opt import modeled_runtime_s, optimize_plan
 
-    config = _config(args)
-    dataset, X = _cell(args, config)
-    spec = config.spec_for(dataset)
-    names = [args.system] if args.system else sorted(SYSTEMS)
+    as_json = args.fmt == "json"
+    cell = load_cell(args.dataset, config)
     rows = []
-    optimized = 0
-    for name in names:
-        try:
-            plan = SYSTEMS[name]().lower(args.model, dataset, X, spec)
-        except (UnsupportedModelError, CapacityError) as exc:
-            if not args.as_json:
-                print(f"{name}: - ({type(exc).__name__}: {exc})\n", file=out)
+    for _, _, name, plan in _walk(args, [cell], [args.model]):
+        if isinstance(plan, Exception):
+            if not as_json:
+                print(f"{name}: - ({type(plan).__name__}: {plan})\n", file=out)
             continue
-        before_ms = modeled_runtime_s(plan, spec) * 1e3
+        before_ms = modeled_runtime_s(plan, cell.spec) * 1e3
         new_plan, records = optimize_plan(
-            plan, spec, level=args.level, dataset=dataset, budget=args.budget
+            plan, cell.spec, level=args.level, dataset=cell.dataset,
+            budget=args.budget,
         )
-        after_ms = modeled_runtime_s(new_plan, spec) * 1e3
+        after_ms = modeled_runtime_s(new_plan, cell.spec) * 1e3
         rows.append(
             {
                 "system": name,
@@ -1141,7 +831,7 @@ def cmd_opt(args: argparse.Namespace, out) -> int:
                 ],
             }
         )
-        if not args.as_json:
+        if not as_json:
             print(
                 f"{name}/{args.model} on {args.dataset}: "
                 f"{plan.num_kernels} -> {new_plan.num_kernels} kernel(s), "
@@ -1158,22 +848,17 @@ def cmd_opt(args: argparse.Namespace, out) -> int:
                 )
             print(new_plan.describe(), file=out)
             print(file=out)
-        optimized += 1
-    if args.as_json:
+    if as_json:
         print(json.dumps(rows, indent=2), file=out)
-    return 0 if optimized else 1
+    return 0 if rows else 1
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
+def cmd_verify(args, config, out) -> int:
     """Certify optimizer rewrites over a grid of cells: the verdict comes
     from the symbolic dataflow normal form, not from byte diffing."""
-    import json
-
     from .lint import finding_rows, sarif_log
     from .verify import certify_grid
 
-    config = _config(args)
-    fmt = args.fmt or ("json" if args.as_json else "text")
     cells = certify_grid(
         config,
         systems=[args.system] if args.system else None,
@@ -1183,9 +868,9 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         budget=args.budget,
     )
     failed = [c for c in cells if not c.ok]
-    if fmt == "json":
+    if args.fmt == "json":
         print(json.dumps([c.as_dict() for c in cells], indent=2), file=out)
-    elif fmt == "sarif":
+    elif args.fmt == "sarif":
         rows: list[dict] = []
         for c in cells:
             if c.result is None:
@@ -1224,53 +909,41 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return 1 if failed else 0
 
 
-def cmd_tune(args: argparse.Namespace, out) -> int:
+def cmd_tune(args, config, out) -> int:
     """Auto-tune cells; exit 1 if any tuned plan lost to the paper config."""
-    import json
-    import os
+    from .opt import AutoTuner, get_tuned_store, set_tuned_store
 
-    from .opt import AutoTuner, TunedPlanStore, get_tuned_store, set_tuned_store
-
-    config = _config(args)
-    datasets = args.dataset or ["CR"]
+    as_json = args.fmt == "json"
     store = get_tuned_store()
-    previous = None
     if args.store:
-        if os.path.exists(args.store):
-            store = TunedPlanStore.load(args.store)
-            if store.dropped and not args.as_json:
-                n = store.dropped
-                print(
-                    f"dropped {n} stale entr{'y' if n == 1 else 'ies'} "
-                    f"(tuner version mismatch) while loading {args.store}",
-                    file=out,
-                )
-        else:
-            store = TunedPlanStore()
-        previous = set_tuned_store(store)
+        store = _load_store(args.store, out, create=True)
+        if store is None:
+            return 2
+        if store.dropped and not as_json:
+            n = store.dropped
+            print(
+                f"dropped {n} stale entr{'y' if n == 1 else 'ies'} "
+                f"(tuner version mismatch) while loading {args.store}",
+                file=out,
+            )
     tuner = AutoTuner(budget=args.budget, seed=config.seed, store=store)
     rows = []
     rc = 0
-    try:
-        for abbr in datasets:
-            dataset = get_dataset(abbr, config)
-            spec = config.spec_for(dataset)
-            X = make_features(
-                dataset.graph.num_vertices, config.feat_dim, seed=config.seed
-            )
+    with _installed(set_tuned_store, store):
+        for cell in grid_cells(config, args.dataset or ["CR"]):
             system = SYSTEMS[args.system]()
-            result = tuner.tune(system, args.model, dataset, X, spec)
-            row = result.as_dict()
-            row["dataset"] = abbr
-            rows.append(row)
+            result = tuner.tune(
+                system, args.model, cell.dataset, cell.X, cell.spec
+            )
+            rows.append({**result.as_dict(), "dataset": cell.abbr})
             if result.tuned_ms > result.fixed_ms:
                 rc = 1
-            if not args.as_json:
+            if not as_json:
                 knobs = ", ".join(
                     f"{k}={v}" for k, v in sorted(result.best_knobs.items())
                 )
                 print(
-                    f"{args.system}/{args.model} on {abbr}: "
+                    f"{args.system}/{args.model} on {cell.abbr}: "
                     f"fixed {result.fixed_ms:.3f} ms -> tuned "
                     f"{result.tuned_ms:.3f} ms "
                     f"({result.speedup_vs_fixed:.3f}x, "
@@ -1280,44 +953,42 @@ def cmd_tune(args: argparse.Namespace, out) -> int:
                 )
                 print(f"  winner: {knobs}", file=out)
             if args.warm:
-                system.run(args.model, dataset, X, spec, opt="search")
+                system.run(args.model, cell.dataset, cell.X, cell.spec,
+                           opt="search")
         if args.store:
             store.save(args.store)
-            if not args.as_json:
+            if not as_json:
                 print(
                     f"saved {len(store)} tuned plan(s) to {args.store}",
                     file=out,
                 )
-    finally:
-        if previous is not None:
-            set_tuned_store(previous)
-    if args.as_json:
+    if as_json:
         print(json.dumps(rows, indent=2), file=out)
     return rc
 
 
-def cmd_udf(args: argparse.Namespace, out) -> int:
-    """Describe a registered UDF: everything downstream is derived."""
-    import json
+def _lower_supported(cell: Cell, system, model: str):
+    """The plan, or None where the spec's terms decline the model."""
+    return cell.lower(system, model) if system.supports(model) else None
 
-    from .frameworks.base import CapacityError, UnsupportedModelError
+
+def cmd_udf(args, config, out) -> int:
+    """Describe a registered UDF: everything downstream is derived."""
     from .kernels.tlpgnn import TLPGNNKernel
     from .lint.access import sector_class
     from .mp import build_model, model_features, registered_models
 
-    config = _config(args)
-    dataset, X = _cell(args, config)
+    cell = load_cell(args.dataset, config)
+    graph = cell.dataset.graph
     if args.model is None:
         rows = [
             {
                 "name": name,
-                "signature": build_model(
-                    name, dataset.graph, X
-                ).signature(),
+                "signature": build_model(name, graph, cell.X).signature(),
             }
             for name in registered_models()
         ]
-        if args.as_json:
+        if args.fmt == "json":
             print(json.dumps(rows, indent=2), file=out)
         else:
             for row in rows:
@@ -1333,30 +1004,25 @@ def cmd_udf(args: argparse.Namespace, out) -> int:
             file=out,
         )
         return 2
-    spec = config.spec_for(dataset)
-    model = build_model(name, dataset.graph, X)
+    model = build_model(name, graph, cell.X)
     workload = model.workload()
 
     # what each framework derives from the terms: support + pipeline
     systems: dict[str, dict] = {}
-    for sysname in sorted(SYSTEMS):
-        system = SYSTEMS[sysname]()
-        if not system.supports(name):
-            systems[sysname] = {"supported": False, "kernels": None}
-            continue
-        try:
-            plan = system.lower(name, dataset, X, spec)
-        except (UnsupportedModelError, CapacityError) as exc:
+    for _, _, sysname, plan in walk_grid([cell], _lower_supported, models=[name]):
+        if isinstance(plan, Exception):
             systems[sysname] = {
                 "supported": False,
                 "kernels": None,
-                "error": f"{type(exc).__name__}: {exc}",
+                "error": f"{type(plan).__name__}: {plan}",
             }
-            continue
-        systems[sysname] = {
-            "supported": True,
-            "kernels": [op.name for op in plan.ops],
-        }
+        elif plan is None:
+            systems[sysname] = {"supported": False, "kernels": None}
+        else:
+            systems[sysname] = {
+                "supported": True,
+                "kernels": [op.name for op in plan.ops],
+            }
 
     # the fused kernel's derived tables (same derivation the lint checks)
     kernel = TLPGNNKernel()
@@ -1398,7 +1064,7 @@ def cmd_udf(args: argparse.Namespace, out) -> int:
             {"key": s.key, "reads": list(s.reads), "write": s.write}
             for s in softmax_stages()
         ]
-    if args.as_json:
+    if args.fmt == "json":
         print(json.dumps(info, indent=2), file=out)
         return 0
 
@@ -1448,32 +1114,221 @@ def cmd_udf(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "datasets": cmd_datasets,
-    "validate": cmd_validate,
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "experiment": cmd_experiment,
-    "report": cmd_report,
-    "roofline": cmd_roofline,
-    "trace": cmd_trace,
-    "diff": cmd_diff,
-    "serve": cmd_serve,
-    "top": cmd_top,
-    "metrics": cmd_metrics,
-    "regress": cmd_regress,
-    "plan": cmd_plan,
-    "lint": cmd_lint,
-    "verify": cmd_verify,
-    "opt": cmd_opt,
-    "tune": cmd_tune,
-    "udf": cmd_udf,
+# ----------------------------------------------------------------------
+# the command table
+# ----------------------------------------------------------------------
+COMMANDS: dict[str, Command] = {
+    "datasets": Command(
+        cmd_datasets, "print the dataset registry",
+        "(Table 4: each dataset's spec and its loaded stand-in)",
+    ),
+    "run": Command(
+        cmd_run, "profile one system/model/dataset cell", cell=CELL,
+        options=(_ARCHIVE, _OPT),
+    ),
+    "compare": Command(
+        cmd_compare, "run all systems on one cell", "and rank them",
+        cell=CELL[1:],
+    ),
+    "experiment": Command(
+        cmd_experiment, "regenerate a table/figure", "by its paper id",
+        options=(_opt("id", choices=sorted(ALL_EXPERIMENTS)),),
+    ),
+    "validate": Command(
+        cmd_validate, "check the paper's shape claims", "(exit 1 on failure)",
+        options=(_opt("--only", nargs="*",
+                      help="claim ids to run (default all)"),),
+    ),
+    "report": Command(
+        cmd_report, "regenerate every table & figure", "into one document",
+        options=(_opt("--out", default=None, help="write the full report "
+                      "to this file (default stdout)"),),
+    ),
+    "roofline": Command(
+        cmd_roofline, "roofline-classify a pipeline", "kernel by kernel",
+        cell=CELL,
+    ),
+    "trace": Command(
+        cmd_trace, "profile one cell and export a Chrome-trace timeline",
+        "(one track per simulated SM; Perfetto loadable)", cell=CELL,
+        options=(
+            _opt("--out", default="trace.json",
+                 help="timeline output path (default trace.json)"),
+            _ARCHIVE,
+            _opt("--max-block-events", type=int, default=20_000,
+                 help="per-kernel cap on replayed block events"),
+        ),
+    ),
+    "diff": Command(
+        cmd_diff, "compare two archived profile runs (exit 1 on regression)",
+        "metric by metric, under regress's policy table: exact counters, "
+        "float-noise bands, directional times and rates",
+        options=(
+            _opt("baseline", help="archived run JSON (the reference)"),
+            _opt("candidate", help="archived run JSON to check"),
+        ),
+    ),
+    "serve": Command(
+        cmd_serve, "simulated online inference serving on the modeled GPU",
+        "(open-loop trace, dynamic batching, admission control, CUDA-like "
+        "streams)", cell=CELL, serving=True,
+        options=(
+            _opt("--job", choices=["full", "targets"], default="full",
+                 help="per-request inference job kind"),
+            _opt("--targets", dest="targets_per_request", metavar="N",
+                 type=int, default=16,
+                 help="vertices per request for --job targets"),
+            _opt("--window-us", type=float, default=200.0,
+                 help="batching deadline window in microseconds"),
+            _opt("--metrics-out", default=None, metavar="PATH",
+                 help="append the run's obs metrics as JSONL"),
+            _opt("--trace", default=None, metavar="PATH", dest="trace_out",
+                 help="collect per-request span trees and write them as a "
+                 "Chrome trace (one track per request + per stream)"),
+            _opt("--tree", type=int, default=0, metavar="N",
+                 help="print the span trees of the N slowest requests"),
+            _opt("--compare", action="store_true",
+                 help="run the TLPGNN vs DGL-sim vs GNNAdvisor serving "
+                 "scenario under identical traces"),
+            _opt("--smoke", action="store_true",
+                 help="small fast run + conservation self-check (CI)"),
+            _OPT,
+            _opt("--lint", action="store_true",
+                 help="preflight: statically lint the served plan and its "
+                 "cross-stream schedule; refuse to serve on error-severity "
+                 "findings"),
+            _opt("--certified", action="store_true",
+                 help="preflight: refuse to serve unless the tuned-plan "
+                 "store holds a valid equivalence certificate for this "
+                 "cell (EQ004 on tampered/stale/missing certificates)"),
+            _opt("--store", default=None, metavar="FILE",
+                 help="load the tuned-plan store from this JSON path (what "
+                 "--opt search replays and --certified re-verifies)"),
+        ),
+    ),
+    "top": Command(
+        cmd_top, "serve with SLO monitoring and render the health dashboard",
+        "(error budgets, multi-window burn rates, shed/latency "
+        "attribution, alert log)", cell=CELL, serving=True,
+        options=(_opt("--load", type=float, default=0.8,
+                      help="offered load as a multiple of the system's "
+                      "offline service rate (default 0.8)"),),
+    ),
+    "metrics": Command(
+        cmd_metrics, "Prometheus-style text exposition of serving metrics",
+        "from a --metrics-out JSONL file, or from a small serving run's "
+        "registry (histograms carry request-id exemplars)", cell=CELL,
+        options=(
+            _opt("--from-jsonl", default=None, metavar="PATH",
+                 help="re-expose a --metrics-out JSONL file instead of "
+                 "running a workload (last record per metric wins)"),
+            _opt("--requests", dest="num_requests", metavar="N", type=int,
+                 default=64),
+        ),
+    ),
+    "regress": Command(
+        cmd_regress, "compare HEAD probes against the BENCH_*.json perf "
+        "trajectory (exit 1 on regression)", "(the same comparison as diff)",
+        options=(
+            _opt("--probe", choices=["serving", "table5", "autotune", "all"],
+                 default="all"),
+            _opt("--store-dir", default=".", metavar="DIR",
+                 help="directory holding the BENCH_<probe>.json trend "
+                 "stores (default: current directory)"),
+            _opt("--record", action="store_true",
+                 help="append a trajectory point at HEAD instead of "
+                 "comparing"),
+        ),
+    ),
+    "plan": Command(
+        cmd_plan, "lower a cell and print each system's execution plan",
+        "(kernel list, balance choice, fusion structure, content "
+        "fingerprint)", cell=("DATASET", "MODEL", "systems"),
+        options=(_opt("--lint", action="store_true",
+                      help="append the static lint report to each plan"),),
+    ),
+    "lint": Command(
+        cmd_lint, "static hazard/resource/determinism/access analysis of plans",
+        "over a grid of cells, without executing them", cell=GRID,
+        formats=("json", "sarif"),
+        options=(
+            _opt("--strict", action="store_true",
+                 help="exit 1 on error-severity findings; with --baseline, "
+                 "on ANY finding the baseline does not already record"),
+            _opt("--baseline", default=None, metavar="FILE",
+                 help="suppress findings recorded in this baseline JSON "
+                 "(keyed plan/code/op/buffer); stale suppressions are "
+                 "reported"),
+            _opt("--write-baseline", default=None, metavar="FILE",
+                 help="record every finding of this run into FILE as a "
+                 "baseline for --baseline"),
+            _opt("--prune-baseline", action="store_true",
+                 help="with --baseline: rewrite the file dropping "
+                 "suppressions that match no current finding"),
+            _opt("--explain", default=None, metavar="CODE",
+                 help="print the registry entry for one finding code (e.g. "
+                 "ACC002) and exit; unknown codes exit 2 with the nearest "
+                 "registered code suggested"),
+            _opt("--streams", type=int, default=2,
+                 help="streams for the per-cell serving race self-check "
+                 "(default 2; 0 disables the check)"),
+        ),
+    ),
+    "verify": Command(
+        cmd_verify, "certify that the optimizer's rewrites preserve each "
+        "cell's dataflow normal form (translation validation)",
+        "over a grid of cells; explains a failure as the minimal diverging "
+        "term and exits 1", cell=GRID, formats=("json", "sarif"),
+        options=(
+            _LEVEL,
+            _opt("--budget", type=int, default=16,
+                 help="max candidate plans a searching pass may score"),
+        ),
+    ),
+    "opt": Command(
+        cmd_opt, "run the plan-IR optimizer pass pipeline on one cell and "
+        "show each pass's rewrite decision", "(legality re-linted, profit "
+        "scored with the shared cost model)",
+        cell=("DATASET", "MODEL", "systems"), formats=("json",),
+        options=(
+            _LEVEL,
+            _opt("--budget", type=int, default=32,
+                 help="max candidate plans a searching pass may score"),
+        ),
+    ),
+    "tune": Command(
+        cmd_tune, "auto-tune the compute-kernel knob space of one or more "
+        "cells; persists winners in the tuned-plan store",
+        "(a deterministic, budgeted, seeded search; run/serve --opt search "
+        "replay the winners)", cell=CELL[:2], formats=("json",),
+        options=(
+            _opt("--dataset", action="append", default=None,
+                 help="dataset abbreviation; repeatable (default: CR)"),
+            _opt("--budget", type=int, default=32,
+                 help="max distinct candidate measurements per cell"),
+            _opt("--store", default=None, metavar="FILE",
+                 help="load/save the tuned-plan store at this JSON path"),
+            _opt("--warm", action="store_true",
+                 help="after tuning, run each cell with opt=search so the "
+                 "PlanCache holds the tuned plan"),
+        ),
+    ),
+    "udf": Command(
+        cmd_udf, "describe a registered message-passing UDF: spec "
+        "signature, derived framework lowering, derived effect/access tables",
+        cell=("dataset",), formats=("json",),
+        options=(_opt("model", nargs="?", default=None,
+                      help="registered model name (default: list all)"),),
+    ),
 }
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out or sys.stdout)
+    config = BenchConfig(
+        feat_dim=args.feat, max_edges=args.max_edges, seed=args.seed
+    )
+    return COMMANDS[args.command].handler(args, config, out or sys.stdout)
 
 
 if __name__ == "__main__":  # pragma: no cover

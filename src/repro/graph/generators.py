@@ -14,6 +14,7 @@ from .csr import CSRGraph, from_edge_list
 
 __all__ = [
     "rng_from",
+    "make_features",
     "erdos_renyi",
     "power_law",
     "rmat",
@@ -42,6 +43,15 @@ def rng_from(seed: int | np.random.Generator | None) -> np.random.Generator:
 
 #: back-compat alias (pre-serving internal name)
 _rng = rng_from
+
+
+def make_features(n: int, feat_dim: int, *, seed: int = 0) -> np.ndarray:
+    """Random float32 features, as the paper initializes its inputs.
+
+    The one feature recipe: the bench harness and the serving layer's
+    :class:`~repro.serve.ServableModel` both draw their inputs here.
+    """
+    return rng_from(seed).standard_normal((n, feat_dim), dtype=np.float32)
 
 
 def erdos_renyi(

@@ -1,6 +1,6 @@
 """Prometheus/OpenMetrics text exposition of a metrics registry.
 
-``repro metrics --expose`` (and any embedding server) renders the
+``repro metrics`` (and any embedding server) renders the
 installed :class:`~repro.obs.metrics.MetricsRegistry` — or a JSONL
 snapshot written by ``--metrics-out`` — in the Prometheus text format:
 

@@ -40,6 +40,7 @@ import numpy as np
 from ..frameworks.base import GNNSystem, UnsupportedModelError
 from ..graph.csr import CSRGraph, from_edge_list
 from ..graph.datasets import Dataset
+from ..graph.generators import make_features
 from ..gpusim.config import V100, GPUSpec
 from ..gpusim.costmodel import PipelineTiming, stream_demands
 from ..gpusim.streams import StreamKernel
@@ -106,13 +107,7 @@ class ServableModel:
         #: the pre-optimizer path); at "search" a warm deploy picks up
         #: persisted tuner decisions through the TunedPlanStore
         self.opt = opt
-        # Same feature initialization as bench.harness.make_features (kept
-        # local: bench imports the serve scenario, so serve must not import
-        # bench back).
-        rng = np.random.default_rng(seed)
-        self.X = rng.standard_normal(
-            (self.graph.num_vertices, feat_dim), dtype=np.float32
-        )
+        self.X = make_features(self.graph.num_vertices, feat_dim, seed=seed)
         self._full_timing: PipelineTiming | None = None
         #: plan identity of the last offline profile (cached flag included)
         self.plan_info = None

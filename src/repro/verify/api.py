@@ -97,54 +97,38 @@ def certify_grid(
     level: str = "search",
     budget: int = 16,
 ) -> list[CellCertification]:
-    """Certify the optimizer over a grid of cells (default: the 24
-    golden cells — four systems x {gcn, gat} x {CR, CS, PD})."""
-    from ..bench import get_dataset, make_features
-    from ..frameworks import SYSTEMS
-    from ..frameworks.base import CapacityError, UnsupportedModelError
+    """Certify the optimizer over a grid of cells (default: the golden
+    grid of :mod:`repro.bench`)."""
+    from ..bench import grid_cells, walk_grid
     from ..opt import IllegalRewriteError
 
+    def certify(cell: Any, system: Any, model: str) -> Any:
+        try:
+            return certify_optimized(
+                system, model, cell.dataset, cell.X, cell.spec,
+                level=level, budget=budget, seed=config.seed,
+            )[0]
+        except IllegalRewriteError as exc:
+            return exc
+
     results: list[CellCertification] = []
-    for ds_name in datasets or ["CR", "CS", "PD"]:
-        data = get_dataset(ds_name, config)
-        X = make_features(
-            data.graph.num_vertices, config.feat_dim, seed=config.seed
+    for cell, model, name, result in walk_grid(
+        grid_cells(config, datasets), certify, models=models, systems=systems
+    ):
+        if isinstance(result, IllegalRewriteError):
+            status, reason, result = "failed", f"rewrite gate: {result}", None
+        elif isinstance(result, Exception):
+            status, reason, result = "dash", type(result).__name__, None
+        elif result.certified:
+            status, reason = "certified", ""
+        else:
+            status = "failed"
+            reason = result.decision.diverging or result.decision.verdict
+        results.append(
+            CellCertification(
+                name, model, cell.abbr, status, reason=reason, result=result
+            )
         )
-        spec = config.spec_for(data)
-        for model in models or ["gcn", "gat"]:
-            for name in systems or sorted(SYSTEMS):
-                try:
-                    result, _records = certify_optimized(
-                        SYSTEMS[name](), model, data, X, spec,
-                        level=level, budget=budget, seed=config.seed,
-                    )
-                except (UnsupportedModelError, CapacityError) as exc:
-                    results.append(
-                        CellCertification(
-                            name, model, ds_name, "dash",
-                            reason=type(exc).__name__,
-                        )
-                    )
-                    continue
-                except IllegalRewriteError as exc:
-                    results.append(
-                        CellCertification(
-                            name, model, ds_name, "failed",
-                            reason=f"rewrite gate: {exc}",
-                        )
-                    )
-                    continue
-                status = "certified" if result.certified else "failed"
-                reason = (
-                    "" if result.certified
-                    else (result.decision.diverging or result.decision.verdict)
-                )
-                results.append(
-                    CellCertification(
-                        name, model, ds_name, status,
-                        reason=reason, result=result,
-                    )
-                )
     return results
 
 

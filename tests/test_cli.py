@@ -2,10 +2,11 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 ARGS = ["--max-edges", "60000", "--seed", "7"]
 
@@ -369,3 +370,69 @@ class TestValidateAndReport:
         text = target.read_text()
         for exp in ("Table 1", "Table 5", "Figure 12"):
             assert exp in text
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_every_command_has_help(self, name, capsys):
+        assert COMMANDS[name].help.strip()
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: repro {name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["lint", "--system", "DGL", "--model", "gat", "--dataset", "CR"],
+        ["verify", "--system", "TLPGNN", "--model", "gcn", "--dataset", "CR"],
+    ])
+    def test_json_flag_is_format_json(self, argv):
+        assert run_cli(*ARGS, *argv, "--json") == run_cli(
+            *ARGS, *argv, "--format", "json"
+        )
+
+    @pytest.mark.parametrize("command", ["lint", "verify"])
+    @pytest.mark.parametrize("fmt", ["json", "sarif", "text"])
+    def test_json_with_format_is_a_usage_error(self, command, fmt):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--json", "--format", fmt])
+        assert exc.value.code == 2
+
+    def test_readme_lists_every_command(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        listing = readme[readme.index("repro.cli         python -m repro {"):]
+        names = listing[listing.index("{") + 1:listing.index("}")]
+        assert sorted(names.replace(",", " ").split()) == sorted(COMMANDS)
+
+    def test_feat_does_not_change_the_feat128_tables(self):
+        for exp in ("table1", "table2"):
+            assert run_cli(*ARGS, "experiment", exp) == run_cli(
+                *ARGS, "--feat", "64", "experiment", exp
+            )
+
+
+class TestStoreLoading:
+    """``tune --store`` and ``serve --store`` share one store loader."""
+
+    @pytest.mark.parametrize("command", [
+        ["tune", "--dataset", "CR", "--budget", "2"],
+        ["serve", "--smoke"],
+    ])
+    def test_malformed_store_exits_two(self, command, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        code, out = run_cli(*ARGS, *command, "--store", str(bad))
+        assert code == 2
+        assert f"cannot read store {bad}" in out
+
+    def test_serve_requires_an_existing_store(self, tmp_path):
+        code, out = run_cli(*ARGS, "serve", "--smoke",
+                            "--store", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert "cannot read store" in out
+
+    def test_tune_creates_a_missing_store(self, tmp_path):
+        target = tmp_path / "tuned.json"
+        code, _ = run_cli(*ARGS, "tune", "--dataset", "CR", "--budget", "2",
+                          "--json", "--store", str(target))
+        assert code in (0, 1)
+        assert json.loads(target.read_text())["entries"]
