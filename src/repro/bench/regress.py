@@ -65,26 +65,24 @@ _NUM_REQUESTS = 96
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """One probe run: flat numeric metrics + the config fingerprint that
+    """One probe run: flat numeric metrics + the config whose fingerprint
     scopes which trajectory points it may compare against."""
 
     name: str
     metrics: dict
-    fingerprint: str
+    config: BenchConfig
     meta: dict
 
-
-def _fingerprint(config: BenchConfig, *, probe: str) -> str:
-    ds = get_dataset(_DATASET, config)
-    return config_fingerprint(
-        dataset=_DATASET,
-        seed=config.seed,
-        feat_dim=config.feat_dim,
-        max_edges=config.max_edges,
-        spec=config.spec_for(ds),
-        model=_MODEL,
-        system=f"probe:{probe}:r{_PROBE_REV}",
-    )
+    @property
+    def fingerprint(self) -> str:
+        """The probe cell's archive fingerprint: scale, seed, spec, model
+        and probe revision."""
+        c = self.config
+        return config_fingerprint(
+            dataset=_DATASET, seed=c.seed, feat_dim=c.feat_dim,
+            max_edges=c.max_edges, spec=c.spec_for(get_dataset(_DATASET, c)),
+            model=_MODEL, system=f"probe:{self.name}:r{_PROBE_REV}",
+        )
 
 
 def serving_probe(config: BenchConfig) -> ProbeResult:
@@ -117,7 +115,7 @@ def serving_probe(config: BenchConfig) -> ProbeResult:
             "completed": report.completed,
             "shed": report.shed,
         },
-        fingerprint=_fingerprint(config, probe="serving"),
+        config=config,
         meta={
             "system": "TLPGNN", "model": _MODEL, "dataset": _DATASET,
             "max_edges": config.max_edges, "num_requests": _NUM_REQUESTS,
@@ -143,7 +141,7 @@ def table5_probe(config: BenchConfig) -> ProbeResult:
     return ProbeResult(
         name="table5",
         metrics=metrics,
-        fingerprint=_fingerprint(config, probe="table5"),
+        config=config,
         meta={
             "model": _MODEL, "dataset": _DATASET,
             "max_edges": config.max_edges,
@@ -178,7 +176,7 @@ def autotune_probe(config: BenchConfig) -> ProbeResult:
             "speedup": result.speedup_vs_fixed,
             "iterations": float(result.iterations),
         },
-        fingerprint=_fingerprint(config, probe="autotune"),
+        config=config,
         meta={
             "system": "TLPGNN", "model": _MODEL, "dataset": _DATASET,
             "max_edges": config.max_edges, "budget": _TUNE_BUDGET,

@@ -13,7 +13,9 @@ Systems are pure lowering rules: subclasses implement ``_lower`` (and
 three-stage driver with the :class:`~repro.plan.PlanCache` in front.
 Cache bypass rules: an explicit ``rng`` (caller-controlled randomness)
 or an installed tracer (spans must observe real execution) always runs
-the full pipeline.
+the full pipeline.  ``lower()`` and ``run()`` resolve a cell the same
+way (``_prepare``), so an explicit ``rng`` leaves both without a content
+key.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from ..gpusim.config import V100, GPUSpec
 from ..gpusim.profiler import ProfileReport
 from ..graph.csr import CSRGraph
 from ..graph.datasets import Dataset
+from ..identity import split_cell
 from ..lint import PlanLintError, lint_plan
 from ..obs.reqtrace import current_batch_context
 from ..obs.tracer import get_tracer, span
@@ -101,35 +104,43 @@ class GNNSystem(ABC):
 
     # ------------------------------------------------------------------
     def _prepare(
-        self, model: str, data: CSRGraph | Dataset
-    ) -> tuple[str, CSRGraph, Dataset | None]:
+        self, model: str, data: CSRGraph | Dataset, X: np.ndarray,
+        spec: GPUSpec, *, rng: np.random.Generator | None, opt: str | None = None,
+    ) -> tuple[str, CSRGraph, Dataset | None, dict | None, str | None]:
+        """Resolve one cell: ``(model, graph, dataset, tuned, key)``.
+
+        ``tuned`` is the tuned-plan store's knob dict at ``opt="search"``.
+        ``key`` is the plan-cache fingerprint, which carries the optimizer
+        context.  An explicit ``rng`` makes the cell content-unaddressable:
+        the key cannot capture caller-controlled randomness, so it is None.
+        """
         model = model.lower()
         if not self.supports(model):
             raise UnsupportedModelError(f"{self.name} does not implement {model}")
-        dataset = data if isinstance(data, Dataset) else None
-        graph = data.graph if dataset is not None else data
+        graph, dataset = split_cell(data)
         self.check_capacity(graph, dataset)
-        return model, graph, dataset
+        # "off" means the pre-optimizer plan and deliberately shares the
+        # legacy opt=None fingerprint
+        opt_ctx = tuned = None
+        if opt in ("safe", "search"):
+            from ..opt import TUNER_VERSION, get_tuned_store, tuning_key
 
-    def _fingerprint(
-        self,
-        model: str,
-        graph: CSRGraph,
-        X: np.ndarray,
-        spec: GPUSpec,
-        dataset: Dataset | None,
-        opt: dict | None = None,
-    ) -> str:
-        return plan_fingerprint(
-            system=self.name,
-            model=model,
-            graph=graph,
-            X=X,
-            spec=spec,
-            knobs=self.plan_knobs(),
-            dataset=dataset,
-            opt=opt,
+            if opt == "search":
+                tkey = tuning_key(
+                    system=self.name, model=model, graph=graph,
+                    X=X, spec=spec, dataset=dataset,
+                )
+                tuned = get_tuned_store().lookup(
+                    tkey, system=self.name, model=model
+                )
+            opt_ctx = {"level": opt, "tuner_version": TUNER_VERSION, "tuned": tuned}
+        if rng is not None:
+            return model, graph, dataset, tuned, None
+        key = plan_fingerprint(
+            system=self.name, model=model, graph=graph, X=X, spec=spec,
+            knobs=self.plan_knobs(), dataset=dataset, opt=opt_ctx,
         )
+        return model, graph, dataset, tuned, key
 
     def lower(
         self,
@@ -141,12 +152,14 @@ class GNNSystem(ABC):
         rng: np.random.Generator | None = None,
     ) -> ExecutionPlan:
         """Compile stage only: lower the cell without executing or costing."""
-        model, graph, dataset = self._prepare(model, data)
+        model, graph, dataset, _, key = self._prepare(
+            model, data, X, spec, rng=rng
+        )
         plan = self._lower(
             model, graph, X, spec,
             dataset=dataset, rng=rng or np.random.default_rng(0),
         )
-        plan.fingerprint = self._fingerprint(model, graph, X, spec, dataset)
+        plan.fingerprint = key
         return plan
 
     # ------------------------------------------------------------------
@@ -180,43 +193,16 @@ class GNNSystem(ABC):
         """
         if lint not in (None, "warn", "strict"):
             raise ValueError(f"lint must be None, 'warn' or 'strict': {lint!r}")
-        from ..opt import (
-            OPT_LEVELS,
-            TUNER_VERSION,
-            get_tuned_store,
-            optimize_plan,
-            tuning_key,
-        )
+        from ..opt import OPT_LEVELS, optimize_plan
 
         if opt is not None and opt not in OPT_LEVELS:
             raise ValueError(f"opt must be one of {OPT_LEVELS}: {opt!r}")
-        model, graph, dataset = self._prepare(model, data)
+        model, graph, dataset, tuned, key = self._prepare(
+            model, data, X, spec, rng=rng, opt=opt
+        )
         cache = get_plan_cache()
-        # resolve the optimizer context before the cache lookup — it is
-        # part of the content key ("off" means the pre-optimizer plan and
-        # deliberately shares the legacy opt=None fingerprint)
-        opt_ctx = None
-        tuned = None
-        if opt in ("safe", "search"):
-            if opt == "search":
-                tkey = tuning_key(
-                    system=self.name, model=model, graph=graph,
-                    X=X, spec=spec, dataset=dataset,
-                )
-                tuned = get_tuned_store().lookup(
-                    tkey, system=self.name, model=model
-                )
-            opt_ctx = {
-                "level": opt,
-                "tuner_version": TUNER_VERSION,
-                "tuned": tuned,
-            }
-        # an explicit rng makes the cell content-unaddressable (the key
-        # cannot capture caller-controlled randomness); a tracer demands
-        # real execution, but the fingerprint itself stays valid
-        key = None
-        if rng is None:
-            key = self._fingerprint(model, graph, X, spec, dataset, opt=opt_ctx)
+        # a tracer demands real execution, but the fingerprint itself
+        # stays valid
         cacheable = (
             key is not None
             and cache is not None

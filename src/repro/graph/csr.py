@@ -15,6 +15,8 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from ..identity import array_digest
+
 __all__ = ["CSRGraph", "from_edge_list", "from_scipy"]
 
 
@@ -113,13 +115,10 @@ class CSRGraph:
         (edge weights live in workloads, not in the graph itself).
         """
         if values is not None:
-            values = np.ascontiguousarray(values)
+            values = np.asarray(values)
             if values.shape[:1] != (self.num_edges,):
                 raise ValueError("values must have one entry per edge")
-            h = hashlib.sha256(self.fingerprint().encode())
-            h.update(repr((values.shape, str(values.dtype))).encode())
-            h.update(values.tobytes())
-            return h.hexdigest()
+            return array_digest(values, graph=self)
         fp = self._degree_cache.get("fingerprint")
         if fp is None:
             h = hashlib.sha256()

@@ -2,8 +2,9 @@
 
 Every archived run is one JSON file holding a schema version, a **config
 fingerprint** (dataset, seed, feat_dim, max_edges, and the full GPUSpec —
-two runs are only comparable when their fingerprints match), and the full
-:meth:`~repro.gpusim.profiler.ProfileReport.as_dict` metric set.
+two runs are only comparable when their fingerprints match; one
+projection of the cell identity that :mod:`repro.identity` owns), and
+the full :meth:`~repro.gpusim.profiler.ProfileReport.as_dict` metric set.
 
 ``python -m repro diff baseline.json candidate.json`` compares two
 archived runs as a two-point trend comparison: the same
@@ -16,11 +17,11 @@ an accidental counter drift) against an archived baseline.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from dataclasses import asdict
 from pathlib import Path
+
+from ..identity import content_key, spec_payload
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -53,12 +54,11 @@ def config_fingerprint(
         "max_edges": max_edges,
         "model": model,
         "system": system,
-        "spec": asdict(spec) if spec is not None else None,
+        "spec": spec_payload(spec) if spec is not None else None,
     }
     if graph is not None:
         payload["graph"] = graph.fingerprint()
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return content_key(payload)[:16]
 
 
 def load_run(path: str | Path) -> dict:
@@ -95,23 +95,19 @@ class ProfileArchive:
         extra: dict | None = None,
     ) -> Path:
         """Persist one :class:`ProfileReport`; returns the file path."""
-        fp = config_fingerprint(
-            dataset=report.dataset, seed=seed, feat_dim=feat_dim,
-            max_edges=max_edges, spec=spec, model=report.model,
-            system=report.system, graph=graph,
-        )
+        config = {
+            "system": report.system, "model": report.model,
+            "dataset": report.dataset, "seed": seed, "feat_dim": feat_dim,
+            "max_edges": max_edges,
+        }
+        fp = config_fingerprint(**config, spec=spec, graph=graph)
         entry = {
             "schema_version": SCHEMA_VERSION,
             "fingerprint": fp,
             "recorded_unix": time.time(),
             "config": {
-                "system": report.system,
-                "model": report.model,
-                "dataset": report.dataset,
-                "seed": seed,
-                "feat_dim": feat_dim,
-                "max_edges": max_edges,
-                "spec": asdict(spec) if spec is not None else None,
+                **config,
+                "spec": spec_payload(spec) if spec is not None else None,
             },
             "metrics": report.as_dict(),
         }

@@ -11,7 +11,8 @@ inputs replays byte-identical decisions.
 
 Winning configurations persist in the :class:`TunedPlanStore` keyed by
 :func:`tuning_key` — a content fingerprint over (system, model, graph,
-feature shape, spec, dataset hints, ``TUNER_VERSION``).  ``GNNSystem.run
+feature shape, spec, dataset hints, ``TUNER_VERSION``), one projection
+of the cell identity that :mod:`repro.identity` owns.  ``GNNSystem.run
 (opt="search")`` consults the installed store: on a hit it replays the
 stored knobs through the pass pipeline instead of re-searching, and the
 :class:`~repro.plan.PlanCache` key incorporates the same store entry (see
@@ -26,16 +27,16 @@ mirroring ``PlanCache.publish``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from ..gpusim.config import V100, GPUSpec
+from ..identity import content_key, dataset_block, spec_payload, split_cell
 from ..obs.metrics import get_registry
 from ..obs.tracer import span
 from ..verify import certify_plans
@@ -98,25 +99,12 @@ def tuning_key(
     payload = {
         "system": system,
         "model": model,
-        "spec": asdict(spec),
+        "spec": spec_payload(spec),
         "x": [list(X.shape), str(X.dtype)],
-        "dataset": (
-            {
-                "abbr": dataset.spec.abbr,
-                "scale": dataset.scale,
-                "full_num_vertices": dataset.full_num_vertices,
-                "full_avg_degree": dataset.full_avg_degree,
-            }
-            if dataset is not None
-            else None
-        ),
+        "dataset": dataset_block(dataset),
         "tuner_version": TUNER_VERSION,
     }
-    h = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    )
-    h.update(graph.fingerprint().encode())
-    return h.hexdigest()
+    return content_key(payload, graph=graph)
 
 
 class TunedPlanStore:
@@ -390,8 +378,7 @@ class AutoTuner:
     ) -> TuningResult:
         """Search one cell; records the winner in the tuned-plan store."""
         plan = system.lower(model, data, X, spec)
-        dataset = data if hasattr(data, "full_num_vertices") else None
-        graph = getattr(data, "graph", data)
+        graph, dataset = split_cell(data)
         # the searchable baseline: safe rewrites applied first, so the
         # tuner searches mappings of the cleaned-up pipeline
         plan, _ = optimize_plan(plan, spec, level="safe", dataset=dataset)

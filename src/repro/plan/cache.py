@@ -8,11 +8,13 @@ A warm hit therefore skips lowering, numeric execution, and the whole
 counter/cost analysis — the host-side win ``benchmarks/bench_serving.py``
 measures.
 
-Cache key (:func:`plan_fingerprint`) — content, never identity:
+Cache key (:func:`plan_fingerprint`) — content, never identity.  It is
+one projection of the cell identity that :mod:`repro.identity` owns:
 
 * the graph's :meth:`~repro.graph.csr.CSRGraph.fingerprint` (sha256 over
   the CSR arrays),
-* the feature matrix bytes (shape + dtype + data),
+* the feature matrix bytes (shape + dtype + data), hashed on every call
+  because the caller owns (and may mutate) the features,
 * model name, system name, and the system's ``plan_knobs()`` dict,
 * the full :class:`~repro.gpusim.config.GPUSpec`,
 * the dataset's full-size hints (they steer TLPGNN's hybrid heuristic).
@@ -29,16 +31,15 @@ counters into the installed :mod:`repro.obs.metrics` registry.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..gpusim.config import GPUSpec
 from ..gpusim.costmodel import PipelineTiming
 from ..gpusim.kernel import PipelineStats
+from ..identity import content_key, dataset_block, spec_payload
 from ..obs.metrics import get_registry
 from .ir import PlanInfo
 
@@ -78,28 +79,12 @@ def plan_fingerprint(
         "system": system,
         "model": model,
         "knobs": knobs or {},
-        "spec": asdict(spec),
-        "dataset": (
-            {
-                "abbr": dataset.spec.abbr,
-                "scale": dataset.scale,
-                "full_num_vertices": dataset.full_num_vertices,
-                "full_avg_degree": dataset.full_avg_degree,
-            }
-            if dataset is not None
-            else None
-        ),
+        "spec": spec_payload(spec),
+        "dataset": dataset_block(dataset),
     }
     if opt is not None:
         payload["opt"] = opt
-    h = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    )
-    h.update(graph.fingerprint().encode())
-    X = np.ascontiguousarray(X)
-    h.update(repr((X.shape, str(X.dtype))).encode())
-    h.update(X.tobytes())
-    return h.hexdigest()
+    return content_key(payload, graph=graph, array=X)
 
 
 @dataclass

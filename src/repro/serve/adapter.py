@@ -44,6 +44,7 @@ from ..graph.generators import make_features
 from ..gpusim.config import V100, GPUSpec
 from ..gpusim.costmodel import PipelineTiming, stream_demands
 from ..gpusim.streams import StreamKernel
+from ..identity import split_cell
 from .workload import Request
 
 __all__ = ["ServableModel", "plan_from_timing"]
@@ -100,7 +101,7 @@ class ServableModel:
         self.system = system
         self.model = model
         self.data = data
-        self.graph = data.graph if isinstance(data, Dataset) else data
+        self.graph, _ = split_cell(data)
         self.spec = spec
         self.seed = seed
         #: optimizer level forwarded to every ``system.run`` call (None =

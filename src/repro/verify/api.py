@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..identity import split_cell
 from ..lint import Finding, make_finding
 from .certificate import CertificationResult, certify_plans, verify_certificate
 
@@ -81,7 +82,7 @@ def certify_optimized(
     from ..opt import optimize_plan
 
     lowered = system.lower(model, data, X, spec)
-    dataset = data if hasattr(data, "full_num_vertices") else None
+    _, dataset = split_cell(data)
     optimized, records = optimize_plan(
         lowered, spec, level=level, dataset=dataset, budget=budget, seed=seed
     )
@@ -186,8 +187,7 @@ def check_tuned_certificate(
     from ..opt.rewrites import _conv_index, _with_kernel, kernel_from_knobs
 
     tuned_store = store if store is not None else get_tuned_store()
-    dataset = data if hasattr(data, "full_num_vertices") else None
-    graph = getattr(data, "graph", data)
+    graph, dataset = split_cell(data)
     key = tuning_key(
         system=system.name, model=model, graph=graph, X=X,
         spec=spec, dataset=dataset,

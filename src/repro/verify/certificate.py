@@ -18,11 +18,10 @@ does not verify.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any
 
+from ..identity import content_key
 from ..lint import Finding, make_finding
 from .equiv import (
     EQUIVALENT_VERDICTS,
@@ -54,11 +53,6 @@ _PAYLOAD_FIELDS = (
 )
 
 
-def _content_address(payload: dict[str, Any]) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class EquivalenceCertificate:
     """One issued certificate: subject plan ≡ reference plan."""
@@ -83,7 +77,7 @@ class EquivalenceCertificate:
     @property
     def cert_id(self) -> str:
         """The content address: sha256 over the canonical payload."""
-        return _content_address(self.payload())
+        return content_key(self.payload(), compact=True)
 
     def as_dict(self) -> dict[str, Any]:
         doc = self.payload()
@@ -179,7 +173,7 @@ def verify_certificate(
         ]
     findings: list[Finding] = []
     payload = {k: doc[k] for k in _PAYLOAD_FIELDS}
-    expected = _content_address(payload)
+    expected = content_key(payload, compact=True)
     if doc["cert_id"] != expected:
         findings.append(
             make_finding(

@@ -23,18 +23,19 @@ differ only in those have the *same* normal form, which is exactly the
 legality claim of every rewrite in :mod:`repro.opt.rewrites`.
 
 Like the lint package this module duck-types its plan (it never imports
-:mod:`repro.plan`); it depends only on :mod:`repro.lint` and numpy.
+:mod:`repro.plan`); it depends only on :mod:`repro.lint` and
+:mod:`repro.identity`, which owns every content key.  The array digests
+of a term are memoized on their frozen owner (the workload, its
+attention spec, the compute step), so normalizing many plans that share
+one workload hashes its feature matrix once.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
+from ..identity import content_key, owned_digest
 from ..lint import Finding, is_transient, make_finding
 
 __all__ = [
@@ -72,17 +73,6 @@ _SOURCE_CLASSES = {
 #: reductions whose atomic merge is idempotent — merge order cannot
 #: change the result, so atomics still land in the exact ordering class
 _IDEMPOTENT_REDUCES = ("max",)
-
-
-def _array_hash(arr: Any) -> str | None:
-    """Content sha256 of an ndarray (shape/dtype folded in), None-safe."""
-    if arr is None:
-        return None
-    a = np.ascontiguousarray(arr)
-    h = hashlib.sha256()
-    h.update(repr((a.shape, str(a.dtype))).encode())
-    h.update(a.tobytes())
-    return h.hexdigest()
 
 
 def plan_label(plan: Any) -> str:
@@ -182,12 +172,7 @@ class PlanNormalForm:
         The label is *excluded*: the digest identifies the computation,
         not the system that lowered it.
         """
-        payload = json.dumps(
-            [t.as_dict() for t in self.terms],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key([t.as_dict() for t in self.terms], compact=True)
 
 
 def _scale_term(workload: Any) -> tuple[str, ...]:
@@ -196,12 +181,12 @@ def _scale_term(workload: Any) -> tuple[str, ...]:
     if att is not None:
         return (
             "attention",
-            _array_hash(att.att_src) or "",
-            _array_hash(att.att_dst) or "",
+            owned_digest(att, "att_src") or "",
+            owned_digest(att, "att_dst") or "",
             repr(att.negative_slope),
         )
     if workload.edge_weights is not None:
-        return ("edge-scalar", _array_hash(workload.edge_weights) or "")
+        return ("edge-scalar", owned_digest(workload, "edge_weights") or "")
     return ("unit",)
 
 
@@ -304,11 +289,11 @@ def normalize_plan(plan: Any) -> PlanNormalForm:
     term = ProducerTerm(
         buffer="out",
         graph=workload.graph.fingerprint(),
-        feature=_array_hash(workload.X) or "",
+        feature=owned_digest(workload, "X") or "",
         scale=_scale_term(workload),
-        self_term=_array_hash(workload.self_coeff),
+        self_term=owned_digest(workload, "self_coeff"),
         reduce=workload.reduce,
-        output_perm=_array_hash(compute.output_perm),
+        output_perm=owned_digest(compute, "output_perm"),
         sources=sources,
         ordering=ordering,
     )
