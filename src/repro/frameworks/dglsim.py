@@ -348,11 +348,7 @@ class DGLSystem(GNNSystem):
             graph_name=graph.name,
             pipeline_name=f"dgl_{model}",
             ops=ops,
-            compute=ComputeStep(
-                kind="reference",
-                workload=workload,
-                label=f"dgl_{model}_pipeline",
-            ),
+            compute=ComputeStep(workload=workload, label=f"dgl_{model}_pipeline"),
             dispatch_seconds=self.dispatch_seconds,
         )
 

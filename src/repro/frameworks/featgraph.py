@@ -116,11 +116,7 @@ class FeatGraphSystem(GNNSystem):
                 graph_name=graph.name,
                 pipeline_name=f"featgraph_{model}",
                 ops=ops,
-                compute=ComputeStep(
-                    kind="reference",
-                    workload=workload,
-                    label="gat_three_kernel",
-                ),
+                compute=ComputeStep(workload=workload, label="gat_three_kernel"),
                 dispatch_seconds=self.dispatch_seconds,
             )
         ops = [
@@ -168,8 +164,6 @@ class FeatGraphSystem(GNNSystem):
             graph_name=graph.name,
             pipeline_name=f"featgraph_{model}",
             ops=ops,
-            compute=ComputeStep(
-                kind="kernel", kernel=self.kernel, workload=workload
-            ),
+            compute=ComputeStep(workload=workload),
             dispatch_seconds=self.dispatch_seconds,
         )

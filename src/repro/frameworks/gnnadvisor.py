@@ -145,12 +145,7 @@ class GNNAdvisorSystem(GNNSystem):
             graph_name=graph.name,
             pipeline_name=f"gnnadvisor_{model}",
             ops=ops,
-            compute=ComputeStep(
-                kind="kernel",
-                kernel=self.kernel,
-                workload=workload,
-                output_perm=perm,
-            ),
+            compute=ComputeStep(workload=workload, output_perm=perm),
             preprocess_seconds=preprocess_seconds(
                 graph.num_vertices, graph.num_edges, self.group_size, spec
             ),

@@ -187,6 +187,6 @@ class TLPGNNEngine(GNNSystem):
             graph_name=graph.name,
             pipeline_name=f"tlpgnn_{model}",
             ops=ops,
-            compute=ComputeStep(kind="kernel", kernel=kernel, workload=workload),
+            compute=ComputeStep(workload=workload),
             dispatch_seconds=self.dispatch_seconds,
         )

@@ -99,6 +99,9 @@ class MicroSim:
     atomic_ops: int = 0
     instructions: int = 0
     divergent_lanes: int = 0
+    #: sectors the same requests would touch if each one's live lanes read
+    #: consecutive elements — the coalesced floor the lane count allows
+    dense_sectors: int = 0
 
     def with_l1(self) -> "MicroSim":
         """Enable the L1 sector cache (hit counting only; DRAM-sector
@@ -113,6 +116,7 @@ class MicroSim:
         if addresses.size > self.spec.threads_per_warp:
             raise ValueError("a warp request carries at most 32 lane addresses")
         n = sectors_for_addresses(addresses, itemsize, self.spec.sector_bytes)
+        self.dense_sectors += -(-addresses.size * itemsize // self.spec.sector_bytes)
         if self.l1 is not None:
             firsts = addresses // self.spec.sector_bytes
             lasts = (addresses + itemsize - 1) // self.spec.sector_bytes

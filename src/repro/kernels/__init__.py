@@ -12,7 +12,7 @@ from .base import (
 )
 from .edge_centric import EdgeCentricKernel
 from .edge_parallel_warp import EdgeParallelWarpKernel
-from .fusion import streaming_kernel_stats, three_kernel_gat
+from .fusion import streaming_kernel_stats, three_kernel_gat_stats
 from .neighbor_group import NeighborGroupKernel, build_groups
 from .pull_cta import PullCTAKernel
 from .pull_thread import PullThreadKernel
@@ -36,7 +36,7 @@ __all__ = [
     "NeighborGroupKernel",
     "build_groups",
     "streaming_kernel_stats",
-    "three_kernel_gat",
+    "three_kernel_gat_stats",
     "KERNELS",
 ]
 

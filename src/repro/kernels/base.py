@@ -1,9 +1,13 @@
 """Kernel base class and shared counter helpers.
 
-All graph-convolution kernels expose the same three-tier interface:
+A kernel is a *mapping*, not new arithmetic: every kernel computes the
+same convolution, :func:`~repro.models.convspec.reference_aggregate`,
+which the plan executor runs once for every system.  What a kernel
+contributes is how the work lands on the GPU:
 
-* ``run(workload)`` — exact functional output (vectorized numpy mirroring
-  the kernel's math; every kernel must agree with the reference).
+* ``_mapping()`` — the level-1/level-2 schedule as a
+  :class:`~repro.mp.derive.KernelMapping`; the declared effect and access
+  tables are derived from it once, here.
 * ``analyze(workload, spec)`` — vectorized counter model producing
   :class:`~repro.gpusim.kernel.KernelStats` and a schedule.
 * ``trace(workload, sim)`` — replay the access pattern warp by warp
@@ -23,12 +27,13 @@ import numpy as np
 
 from ..gpusim.config import V100, GPUSpec
 from ..gpusim.costmodel import KernelTiming
-from ..gpusim.kernel import KernelStats, LaunchConfig
+from ..gpusim.kernel import KernelStats
 from ..gpusim.microsim import AddressMap, MicroSim
 from ..gpusim.scheduler import ScheduleResult
 from ..lint.access import KernelAccess
 from ..lint.effects import KernelEffects
-from ..models.convspec import ConvWorkload, reference_aggregate
+from ..models.convspec import ConvWorkload
+from ..mp.derive import KernelMapping, derive_access, derive_effects
 from ..obs.tracer import span
 
 __all__ = [
@@ -79,9 +84,8 @@ def make_amap(workload: ConvWorkload) -> AddressMap:
 
 @dataclass
 class KernelResult:
-    """Everything one kernel execution yields."""
+    """The modeled cost of one kernel launch."""
 
-    output: np.ndarray
     stats: KernelStats
     schedule: ScheduleResult
     timing: KernelTiming
@@ -93,8 +97,8 @@ class ConvKernel(ABC):
     name: str = "kernel"
 
     @abstractmethod
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        """Functional output of the kernel (must equal the reference)."""
+    def _mapping(self) -> KernelMapping:
+        """The kernel's level-1/level-2 schedule as data."""
 
     @abstractmethod
     def analyze(
@@ -102,32 +106,40 @@ class ConvKernel(ABC):
     ) -> tuple[KernelStats, ScheduleResult]:
         """Vectorized counter model + schedule for the workload."""
 
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
-        """Micro-simulator replay (small graphs); returns the output."""
-        raise NotImplementedError(f"{self.name} has no micro-sim trace")
+    @abstractmethod
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
+        """Replay the access pattern through the micro-simulator (small
+        graphs); the counters land in ``sim``."""
 
-    def effects(self, workload: ConvWorkload) -> KernelEffects | None:
+    def effects(self, workload: ConvWorkload) -> KernelEffects:
         """Declared effect table for ``workload`` (buffers + launch
-        envelope; see :mod:`repro.lint.effects`).  ``None`` means the
-        kernel declares nothing — the hazard lint flags that as an error,
-        so every concrete kernel overrides this."""
-        return None
+        envelope; see :mod:`repro.lint.effects`), derived from the
+        mapping."""
+        return derive_effects(self._mapping(), workload)
 
-    def access_patterns(self, workload: ConvWorkload) -> KernelAccess | None:
+    def access_patterns(self, workload: ConvWorkload) -> KernelAccess:
         """Declared symbolic access table for ``workload`` (per-buffer
-        lane/iter expressions; see :mod:`repro.lint.access`).  ``None``
-        means the kernel declares nothing — the access lint flags that as
-        an ACC001 error, so every concrete kernel overrides this."""
-        return None
+        lane/iter expressions; see :mod:`repro.lint.access`), derived from
+        the mapping."""
+        return derive_access(self._mapping(), workload)
 
     def supports(self, workload: ConvWorkload) -> bool:
         """Whether the kernel can execute the workload (attention etc.)."""
         return workload.attention is None
 
+    def check_supports(self, workload: ConvWorkload) -> None:
+        """Refuse a workload the kernel cannot execute: costing it would
+        model a computation the kernel does not perform."""
+        if not self.supports(workload):
+            raise ValueError(
+                f"kernel {self.name!r} cannot execute this workload "
+                f"(reduce={workload.reduce!r}, "
+                f"attention={workload.attention is not None})"
+            )
+
     def execute(self, workload: ConvWorkload, spec: GPUSpec = V100) -> KernelResult:
-        """Run + analyze + cost-model in one call."""
-        with span("kernel.run", kernel=self.name):
-            output = self.run(workload)
+        """Analyze + cost-model one launch in one call."""
+        self.check_supports(workload)
         with span("kernel.analyze", kernel=self.name) as sp:
             stats, schedule = self.analyze(workload, spec)
             if sp is not None:
@@ -138,25 +150,4 @@ class ConvKernel(ABC):
             timing = time_parts([(stats, schedule)], spec)[0]
             if sp is not None:
                 sp.add_modeled(timing.gpu_seconds)
-        return KernelResult(output=output, stats=stats, schedule=schedule, timing=timing)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def reference(workload: ConvWorkload) -> np.ndarray:
-        return reference_aggregate(workload)
-
-    def _default_launch(
-        self,
-        num_units: int,
-        spec: GPUSpec,
-        *,
-        warps_per_block: int = 4,
-        regs_per_thread: int = 32,
-    ) -> LaunchConfig:
-        """One warp per work unit, grouped ``warps_per_block`` to a block."""
-        blocks = max(1, -(-num_units // warps_per_block))
-        return LaunchConfig(
-            num_blocks=blocks,
-            threads_per_block=warps_per_block * spec.threads_per_warp,
-            regs_per_thread=regs_per_thread,
-        )
+        return KernelResult(stats=stats, schedule=schedule, timing=timing)

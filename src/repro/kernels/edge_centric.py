@@ -20,7 +20,7 @@ from ..gpusim.microsim import MicroSim
 from ..gpusim.scheduler import ScheduleResult
 from ..gpusim.warpcost import warp_cycles
 from ..models.convspec import ConvWorkload
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping
 from .base import ConvKernel, feature_row_sectors, feature_rounds, make_amap
 
 __all__ = ["EdgeCentricKernel"]
@@ -41,24 +41,15 @@ class EdgeCentricKernel(ConvKernel):
         return workload.attention is None and workload.reduce != "max"
 
     def _mapping(self) -> KernelMapping:
+        """Pure scatter over COO chunks (no indptr): every edge atomically
+        merges a feature row into its destination — no plain stores at
+        all; even the self term rides the atomic path.  Ids and rows are
+        lane-coalesced per edge, but the destination row of every atomic
+        is indirected: the chunk's edges scatter over arbitrary output
+        rows (ACC004, Observation I)."""
         return KernelMapping(
             unit="edge_chunk", warps_per_block=self.warps_per_block
         )
-
-    def effects(self, workload: ConvWorkload):
-        # Pure scatter over COO chunks (no indptr): every edge atomically
-        # merges a feature row into its destination — no plain stores at
-        # all; even the self term rides the atomic path.
-        return derive_effects(self._mapping(), workload)
-
-    def access_patterns(self, workload: ConvWorkload):
-        # COO streaming: ids and rows are lane-coalesced per edge, but the
-        # destination row of every atomic is indirected — the chunk's edges
-        # scatter over arbitrary output rows (ACC004, Observation I).
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -123,7 +114,7 @@ class EdgeCentricKernel(ConvKernel):
         return stats, schedule
 
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         F = workload.feat_dim
         e_s = workload.edge_scalar_loads
@@ -143,4 +134,3 @@ class EdgeCentricKernel(ConvKernel):
                     sim.warp_load(amap.feat_addr(int(src[i]), off + np.arange(lanes)))
                     sim.warp_atomic(amap.out_addr(int(dst[i]), off + np.arange(lanes)))
                     sim.issue(1)
-        return self.reference(workload)

@@ -23,7 +23,7 @@ from ..gpusim.microsim import MicroSim
 from ..gpusim.scheduler import ScheduleResult
 from ..gpusim.warpcost import warp_cycles
 from ..models.convspec import ConvWorkload
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping
 from .base import ConvKernel, feature_row_sectors, index_span_sectors, make_amap
 
 __all__ = ["EdgeParallelWarpKernel"]
@@ -44,25 +44,16 @@ class EdgeParallelWarpKernel(ConvKernel):
         return workload.attention is None and workload.reduce != "max"
 
     def _mapping(self) -> KernelMapping:
+        """Still warp-per-vertex at level 1: the shuffle tree keeps the
+        cross-lane reduction in registers, so the output write stays
+        exclusive (the naive atomic variant is what TLPGNN rejects).  In
+        feature-then-edge order the edge-id tile is a consecutive-lane
+        stream, but every feature load puts 32 *different* source rows on
+        the lanes (ACC002, Figure 5(a)'s uncoalesced case), and tail tiles
+        mask lanes on every low-degree vertex (DIV002)."""
         return KernelMapping(
             unit="edge_tile", warps_per_block=self.warps_per_block
         )
-
-    def effects(self, workload: ConvWorkload):
-        # Still warp-per-vertex at level 1: the shuffle tree keeps the
-        # cross-lane reduction in registers, so the output write stays
-        # exclusive (the naive atomic variant is what TLPGNN rejects).
-        return derive_effects(self._mapping(), workload)
-
-    def access_patterns(self, workload: ConvWorkload):
-        # Feature-then-edge order: the edge-id tile is a consecutive-lane
-        # stream, but every feature load puts 32 *different* source rows on
-        # the lanes (ACC002 — Figure 5(a)'s uncoalesced case), and tail
-        # tiles mask lanes on every low-degree vertex (DIV002).
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -129,7 +120,7 @@ class EdgeParallelWarpKernel(ConvKernel):
         return stats, schedule
 
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         F = workload.feat_dim
         e_s = workload.edge_scalar_loads
@@ -153,4 +144,3 @@ class EdgeParallelWarpKernel(ConvKernel):
             for j0 in range(0, F, 32):
                 lanes = min(32, F - j0)
                 sim.warp_store(amap.out_addr(v, j0 + np.arange(lanes)))
-        return self.reference(workload)

@@ -8,9 +8,9 @@ memory; TLPGNN fuses everything into one kernel.  This module provides
 * :func:`streaming_kernel_stats` — the generic cost of one elementwise /
   gather / segment kernel over edge- or vertex-parallel data (also the
   workhorse of the DGL baseline model),
-* :func:`three_kernel_gat` — the paper's hand-written 3-kernel GAT
-  (ApplyEdge logits → edge softmax → weighted aggregate), the middle column
-  of Table 3.
+* :func:`three_kernel_gat_stats` — the counter model of the paper's
+  hand-written 3-kernel GAT (ApplyEdge logits → edge softmax → weighted
+  aggregate), the middle column of Table 3.
 
 The 1-kernel column of Table 3 is :class:`~repro.kernels.tlpgnn.TLPGNNKernel`
 with an attention workload.
@@ -26,16 +26,14 @@ from ..gpusim.memory import cached_dram_sectors
 from ..gpusim.scheduler import ScheduleResult, hardware_schedule, static_schedule
 from ..gpusim.warpcost import warp_cycles
 from ..lint.access import KernelAccess
-from ..models.convspec import ConvWorkload, reference_aggregate
+from ..models.convspec import ConvWorkload
 from ..mp.derive import softmax_stage_access
 from .base import feature_row_sectors, index_span_sectors, make_amap
 
 __all__ = [
     "streaming_kernel_stats",
-    "three_kernel_gat",
     "three_kernel_gat_access",
     "three_kernel_gat_stats",
-    "gat_edge_pipeline_output",
 ]
 
 
@@ -123,38 +121,6 @@ def streaming_kernel_stats(
 # ----------------------------------------------------------------------
 # the 3-kernel GAT pipeline of Table 3
 # ----------------------------------------------------------------------
-def gat_edge_pipeline_output(workload: ConvWorkload) -> np.ndarray:
-    """Functional output of the unfused GAT pipelines (edge data
-    materialized); numerically identical to the fused path."""
-    if workload.attention is None:
-        raise ValueError("GAT pipeline needs an attention workload")
-    return reference_aggregate(workload)
-
-
-def three_kernel_gat(
-    workload: ConvWorkload,
-    spec: GPUSpec = V100,
-    *,
-    schedule_policy: str = "hardware",
-    register_cache: bool = True,
-    l2_efficiency: float = 0.35,
-) -> tuple[np.ndarray, PipelineStats, list[tuple[KernelStats, ScheduleResult]]]:
-    """The paper's hand-written three-kernel GAT convolution.
-
-    Output + counters in one call; :func:`three_kernel_gat_stats` is the
-    analysis-only half (what plan lowering uses — the output comes from
-    the shared executor instead).
-    """
-    pipeline, parts = three_kernel_gat_stats(
-        workload,
-        spec,
-        schedule_policy=schedule_policy,
-        register_cache=register_cache,
-        l2_efficiency=l2_efficiency,
-    )
-    return gat_edge_pipeline_output(workload), pipeline, parts
-
-
 def three_kernel_gat_access(
     workload: ConvWorkload,
     *,
@@ -195,7 +161,7 @@ def three_kernel_gat_stats(
     weighted feature aggregation reading the per-edge alphas.
     """
     if workload.attention is None:
-        raise ValueError("three_kernel_gat needs an attention workload")
+        raise ValueError("the three-kernel GAT needs an attention workload")
     g = workload.graph
     n, E, Fdim = g.num_vertices, g.num_edges, workload.feat_dim
     SF = feature_row_sectors(Fdim)

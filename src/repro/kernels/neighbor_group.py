@@ -20,7 +20,7 @@ from ..gpusim.microsim import MicroSim
 from ..gpusim.scheduler import ScheduleResult
 from ..gpusim.warpcost import warp_cycles
 from ..models.convspec import ConvWorkload
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping
 from .base import (
     ConvKernel,
     feature_row_sectors,
@@ -77,6 +77,13 @@ class NeighborGroupKernel(ConvKernel):
         return workload.attention is None and workload.reduce != "max"
 
     def _mapping(self) -> KernelMapping:
+        """One warp per neighbour group; groups of the same vertex merge
+        their partial rows with atomicAdd — sum(ceil(d/gs)) * F element
+        ops, Figure 8's traffic.  The host-built group table is an input.
+        Feature rows are fetched as two half-warp requests (GNNAdvisor's
+        dimension tiling), each still a consecutive-lane stream; the
+        atomic merge targets the group's *own* vertex row — warp
+        collisions, but no indirected scatter (Figure 8, not Figure 7)."""
         return KernelMapping(
             unit="neighbor_group",
             lanes=16,  # GNNAdvisor's half-warp dimension tiling
@@ -84,22 +91,6 @@ class NeighborGroupKernel(ConvKernel):
             group_size=self.group_size,
             reads_group_table=True,
         )
-
-    def effects(self, workload: ConvWorkload):
-        # One warp per neighbour group; groups of the same vertex merge
-        # their partial rows with atomicAdd — sum(ceil(d/gs)) * F element
-        # ops, Figure 8's traffic.  The host-built group table is an input.
-        return derive_effects(self._mapping(), workload)
-
-    def access_patterns(self, workload: ConvWorkload):
-        # Feature rows are fetched as two half-warp requests (GNNAdvisor's
-        # dimension tiling): each half is still a consecutive-lane stream.
-        # The atomic merge targets the group's *own* vertex row — warp
-        # collisions, but no indirected scatter (Figure 8, not Figure 7).
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -170,7 +161,7 @@ class NeighborGroupKernel(ConvKernel):
         return stats, schedule
 
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         F = workload.feat_dim
         e_s = workload.edge_scalar_loads
@@ -202,4 +193,3 @@ class NeighborGroupKernel(ConvKernel):
                 for off, lanes in rounds:
                     sim.warp_atomic(amap.out_addr(v, off + np.arange(lanes)))
                     sim.issue(1)
-        return self.reference(workload)

@@ -25,7 +25,7 @@ from ..gpusim.scheduler import ScheduleResult, hardware_schedule
 from ..gpusim.warpcost import warp_cycles
 from ..lint.effects import LaunchEnvelope
 from ..models.convspec import ConvWorkload
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping, derive_effects
 from .base import (
     ConvKernel,
     feature_row_sectors,
@@ -52,16 +52,20 @@ class PullCTAKernel(ConvKernel):
         self.name = f"pull_cta[w={warps_per_block}]"
 
     def _mapping(self) -> KernelMapping:
+        """CTA-per-vertex keeps TLPGNN's coalescing (feature dims on the
+        lanes, warp-uniform indices): its costs are synchronization and
+        wasted blocks, which the resource and cost models account, not
+        the access shape."""
         return KernelMapping(
             unit="vertex_cta", warps_per_block=self.warps_per_block
         )
 
     def effects(self, workload: ConvWorkload):
-        # CTA-per-vertex: warps combine partial rows through a shared-
-        # memory tree reduce (one staged feature row per warp), then the
-        # block's lane group writes its vertex row exclusively.  The smem
-        # staging depends on the feature width, so the envelope is built
-        # here rather than from the mapping alone.
+        # Warps combine partial rows through a shared-memory tree reduce
+        # (one staged feature row per warp), then the block's lane group
+        # writes its vertex row exclusively.  The smem staging depends on
+        # the feature width, so the envelope is built here rather than
+        # from the mapping alone.
         smem = 4 * workload.feat_dim * self.warps_per_block
         return derive_effects(
             self._mapping(), workload,
@@ -70,16 +74,6 @@ class PullCTAKernel(ConvKernel):
                 shared_mem_per_block=smem,
             ),
         )
-
-    def access_patterns(self, workload: ConvWorkload):
-        # CTA-per-vertex keeps TLPGNN's coalescing (feature dims on the
-        # lanes, warp-uniform indices) — its costs are synchronization and
-        # wasted blocks, which the resource/cost models account, not the
-        # access shape.
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -165,7 +159,7 @@ class PullCTAKernel(ConvKernel):
         return stats, schedule
 
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         F = workload.feat_dim
         W = self.warps_per_block
@@ -191,4 +185,3 @@ class PullCTAKernel(ConvKernel):
             sim.issue(4 * max(int(np.ceil(np.log2(max(W, 2)))), 1) * W)
             for off, lanes in rounds:
                 sim.warp_store(amap.out_addr(v, off + np.arange(lanes)))
-        return self.reference(workload)

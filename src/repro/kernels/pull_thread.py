@@ -18,7 +18,7 @@ from ..gpusim.microsim import MicroSim
 from ..gpusim.scheduler import ScheduleResult
 from ..gpusim.warpcost import warp_cycles
 from ..models.convspec import ConvWorkload
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping
 from .base import ConvKernel, feature_row_sectors, index_span_sectors, make_amap
 
 __all__ = ["PullThreadKernel"]
@@ -33,24 +33,15 @@ class PullThreadKernel(ConvKernel):
         self.warps_per_block = warps_per_block
 
     def _mapping(self) -> KernelMapping:
+        """Uncoalesced, but still pull-style: each thread owns one output
+        row, so the writes stay exclusive and atomic-free.  The access
+        table is the Figure 3a anti-pattern, symbolically: each lane walks
+        its own edge list (per-lane degree trips → DIV001), gathers rows
+        lane by lane (ACC002), and writes its own row at a row-pitch
+        stride (ACC003).  Only the indptr bounds load is coalesced."""
         return KernelMapping(
             unit="vertex_thread", warps_per_block=self.warps_per_block
         )
-
-    def effects(self, workload: ConvWorkload):
-        # Uncoalesced, but still pull-style: each thread owns one output
-        # row, so the writes stay exclusive and atomic-free.
-        return derive_effects(self._mapping(), workload)
-
-    def access_patterns(self, workload: ConvWorkload):
-        # The Figure 3a anti-pattern, symbolically: each lane walks its own
-        # edge list (per-lane degree trips → DIV001), gathers rows lane by
-        # lane (ACC002), and writes its own row at a row-pitch stride
-        # (ACC003).  Only the indptr bounds load is coalesced.
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -129,7 +120,7 @@ class PullThreadKernel(ConvKernel):
         return stats, schedule
 
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         n, F = g.num_vertices, workload.feat_dim
         e_s = workload.edge_scalar_loads
@@ -160,4 +151,3 @@ class PullThreadKernel(ConvKernel):
                     sim.issue(1)
             for j in range(F):
                 sim.warp_store(amap.out_addr(vs, j))
-        return self.reference(workload)

@@ -19,7 +19,7 @@ from ..gpusim.microsim import MicroSim
 from ..gpusim.scheduler import ScheduleResult
 from ..gpusim.warpcost import warp_cycles
 from ..models.convspec import ConvWorkload
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping
 from .base import (
     ConvKernel,
     feature_row_sectors,
@@ -44,27 +44,17 @@ class PushKernel(ConvKernel):
         return workload.attention is None and workload.reduce != "max"
 
     def _mapping(self) -> KernelMapping:
+        """Each warp initializes its own source row (exclusive write of
+        the self term), then scatters into arbitrary destination rows:
+        every edge merges a full feature row with atomicAdd (E*F element
+        ops).  Lane-level traffic is as coalesced as TLPGNN's (own row
+        reads, consecutive-lane rounds); the scatter damage is at the
+        *row* level: every edge atomically targets an indirected
+        destination row, so units collide (ACC004) where warp-per-vertex
+        cannot."""
         return KernelMapping(
             unit="source_push", warps_per_block=self.warps_per_block
         )
-
-    def effects(self, workload: ConvWorkload):
-        # Each warp initializes its own source row (exclusive write of the
-        # self term), then scatters into arbitrary destination rows: every
-        # edge merges a full feature row with atomicAdd (E*F element ops).
-        return derive_effects(self._mapping(), workload)
-
-    def access_patterns(self, workload: ConvWorkload):
-        # Lane-level traffic is as coalesced as TLPGNN's (own row reads,
-        # consecutive-lane rounds) — the scatter damage is at the *row*
-        # level: every edge atomically targets an indirected destination
-        # row, so units collide (ACC004) where warp-per-vertex cannot.
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        # Scatter over out-edges computes the same sums as the gather
-        # reference (plus the same mean/self handling).
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -129,7 +119,7 @@ class PushKernel(ConvKernel):
         return stats, schedule
 
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         rev = g.reverse()
         F = workload.feat_dim
@@ -153,4 +143,3 @@ class PushKernel(ConvKernel):
                 for off, lanes in rounds:
                     sim.warp_atomic(amap.out_addr(dst, off + np.arange(lanes)))
                     sim.issue(1)
-        return self.reference(workload)

@@ -29,7 +29,7 @@ from ..gpusim.scheduler import ScheduleResult
 from ..gpusim.warpcost import warp_cycles
 from ..models.convspec import ConvWorkload
 from ..lint.effects import LaunchEnvelope
-from ..mp.derive import KernelMapping, derive_access, derive_effects
+from ..mp.derive import KernelMapping, derive_effects
 from .base import (
     ConvKernel,
     feature_row_sectors,
@@ -136,8 +136,12 @@ class TLPGNNKernel(ConvKernel):
         return True  # attention fused in-kernel
 
     def _mapping(self) -> KernelMapping:
-        """Level-1/level-2 schedule as data; effect and access tables are
-        derived from it (plus the workload's UDF terms) in repro.mp."""
+        """Level 1: one lane group per vertex, which owns its output row
+        outright (no atomics, no inter-warp writes: the paper's central
+        claim); the CSR bounds and each neighbour id are warp-uniform
+        broadcasts.  Level 2: feature dimensions ride the lanes, so every
+        neighbour row and the output row are consecutive-lane streams
+        (Figure 5's coalescing claim)."""
         return KernelMapping(
             unit="vertex_warp",
             lanes=self.group_size,
@@ -146,9 +150,7 @@ class TLPGNNKernel(ConvKernel):
         )
 
     def effects(self, workload: ConvWorkload):
-        # Warp-per-vertex: each warp owns its output row outright — no
-        # atomics, no inter-warp writes (the paper's central claim).  The
-        # envelope is the widest block any assignment may launch: the
+        # The envelope is the widest block any assignment may launch: the
         # software/hybrid task-pool path doubles warps_per_block.
         wpb = self.warps_per_block
         if self.assignment in ("software", "hybrid"):
@@ -157,19 +159,6 @@ class TLPGNNKernel(ConvKernel):
             self._mapping(), workload,
             envelope=LaunchEnvelope(threads_per_block=wpb * 32),
         )
-
-    def access_patterns(self, workload: ConvWorkload):
-        # Level 1: one lane group per vertex — the CSR bounds and each
-        # neighbour id are warp-uniform broadcasts.  Level 2: feature
-        # dimensions ride the lanes, so every neighbour row and the output
-        # row are consecutive-lane streams (Figure 5's coalescing claim).
-        return derive_access(self._mapping(), workload)
-
-    def run(self, workload: ConvWorkload) -> np.ndarray:
-        # The warp-serial loop order is a rearrangement of the same sums the
-        # reference computes; float addition order differs only within a
-        # vertex's neighbour list, which allclose tolerances absorb.
-        return self.reference(workload)
 
     # ------------------------------------------------------------------
     # counter model
@@ -311,7 +300,7 @@ class TLPGNNKernel(ConvKernel):
     # ------------------------------------------------------------------
     # micro-simulator replay (small graphs)
     # ------------------------------------------------------------------
-    def trace(self, workload: ConvWorkload, sim: MicroSim) -> np.ndarray:
+    def trace(self, workload: ConvWorkload, sim: MicroSim) -> None:
         g = workload.graph
         n, F = g.num_vertices, workload.feat_dim
         L = self.group_size
@@ -355,4 +344,3 @@ class TLPGNNKernel(ConvKernel):
                                 sim.warp_store(addrs_o)
             for off, lanes in rounds:
                 sim.warp_store(amap.out_addr(v, off + np.arange(lanes)))
-        return self.reference(workload)

@@ -77,6 +77,9 @@ SECTOR_CLASSES = ("broadcast", "coalesced", "strided", "gather")
 #: above (up to 32 sectors, one per lane)
 COALESCED_SPR_MAX = 4.5
 
+#: sectors of one dense float32 warp request (32 lanes x 4 B / 32 B)
+_DENSE_WARP_SECTORS = 4
+
 _ROLES = ("read", "write", "atomic")
 _ROWS = ("unit", "lane_unit", "indirect", "flat")
 _TRIPS = ("degree", "feat_rounds", "edge_tiles", "dims", "chunk")
@@ -538,7 +541,14 @@ def _check_bucket(
     spr: float,
     divergent_lanes: int,
     source: str,
+    *,
+    dense_spr: float = _DENSE_WARP_SECTORS,
 ) -> list[str]:
+    """``dense_spr`` is the sectors/request the measured requests would
+    need if their live lanes read consecutive elements.  Lane-spread can
+    only show as sectors beyond that floor, so the uncoalesced bound
+    scales with it; the counter model records no live-lane counts and is
+    held to the full-warp floor."""
     if bucket == "coalesced":
         if spr > COALESCED_SPR_MAX:
             return [
@@ -546,12 +556,22 @@ def _check_bucket(
                 f"{spr:.2f} sectors/request (> {COALESCED_SPR_MAX})"
             ]
         return []
-    if spr <= COALESCED_SPR_MAX and divergent_lanes == 0:
+    spread_min = COALESCED_SPR_MAX * dense_spr / _DENSE_WARP_SECTORS
+    if spr <= spread_min and divergent_lanes == 0:
         return [
             f"{kernel_name}: statically uncoalesced but {source} measures "
             f"{spr:.2f} sectors/request with no masked lanes"
         ]
     return []
+
+
+def _lane_degrees_vary(workload: Any, lanes: int) -> bool:
+    """Whether a per-lane degree loop can diverge on this graph: some
+    warp's lanes (consecutive destination vertices) see unequal
+    in-degrees."""
+    d = workload.graph.in_degrees
+    warps = (d[i : i + lanes] for i in range(0, d.size, lanes))
+    return any(w.min() != w.max() for w in warps)
 
 
 def cross_validate_access(kernel: Any, workload: Any, spec: GPUSpec = V100) -> list[str]:
@@ -563,9 +583,13 @@ def cross_validate_access(kernel: Any, workload: Any, spec: GPUSpec = V100) -> l
     :data:`COALESCED_SPR_MAX` sectors/request in both models; a
     statically *uncoalesced* one must show excess sectors or masked
     lanes (a gather over few live lanes produces few sectors but much
-    divergence — the two observable faces of lane-spread).  A declared
-    per-lane degree loop (DIV001) must also surface as measured
-    divergence.  Intended for micro-sim-sized graphs.
+    divergence — the two observable faces of lane-spread).  The
+    micro-sim's excess is measured against the dense floor of the lanes
+    each request had live, since a request over four live lanes cannot
+    touch more than four sectors.  A declared per-lane degree loop
+    (DIV001) must also surface as measured divergence whenever some
+    warp's lanes have unequal in-degrees; a uniform-degree graph cannot
+    show it.  Intended for micro-sim-sized graphs.
     """
     decl = getattr(kernel, "access_patterns", None)
     access = decl(workload) if callable(decl) else None
@@ -591,20 +615,22 @@ def cross_validate_access(kernel: Any, workload: Any, spec: GPUSpec = V100) -> l
     measured_divergence = int(stats.divergent_lanes) > 0
 
     sim = MicroSim(spec=spec)
-    try:
-        kernel.trace(workload, sim)
-    except NotImplementedError:
-        sim = None  # kernel has no micro-sim replay
-    if sim is not None and sim.total_requests:
+    kernel.trace(workload, sim)
+    if sim.total_requests:
         problems += _check_bucket(
             kernel.name,
             bucket,
             sim.sectors_per_request,
             sim.divergent_lanes,
             "the micro-sim",
+            dense_spr=sim.dense_sectors / sim.total_requests,
         )
         measured_divergence = measured_divergence or sim.divergent_lanes > 0
-    if predicts_divergence and not measured_divergence:
+    if (
+        predicts_divergence
+        and not measured_divergence
+        and _lane_degrees_vary(workload, spec.threads_per_warp)
+    ):
         problems.append(
             f"{kernel.name}: declares a per-lane degree loop (DIV001) but "
             "neither model observes masked lanes"

@@ -212,10 +212,7 @@ def cross_validate_effects(kernel: Any, workload: Any, spec: GPUSpec = V100) -> 
             f"disagrees with counter-model atomic_ops {stats.atomic_ops}"
         )
     sim = MicroSim(spec=spec)
-    try:
-        kernel.trace(workload, sim)
-    except NotImplementedError:
-        return problems  # kernel has no micro-sim replay
+    kernel.trace(workload, sim)
     if int(sim.atomic_ops) != int(eff.atomic_ops):
         problems.append(
             f"{kernel.name}: declared atomic_ops {eff.atomic_ops} != "

@@ -29,7 +29,7 @@ from .graph.partition import Partition, partition_kway
 from .gpusim.config import V100, GPUSpec
 from .kernels.tlpgnn import TLPGNNKernel
 from .models.convspec import ConvWorkload
-from .plan import analyze_plan, cost_plan, execute_plan, plan_for_kernel, time_parts
+from .plan import execute_plan, model_plan, plan_for_kernel
 
 __all__ = ["DeviceShard", "MultiGPUResult", "distribute_conv"]
 
@@ -145,8 +145,7 @@ def distribute_conv(
             pipeline_name=f"multigpu_dev{dev}",
         )
         shard_out = execute_plan(plan)
-        pipeline, parts = analyze_plan(plan, spec)
-        timing = cost_plan(pipeline, time_parts(parts, spec), spec)
+        _pipeline, timing = model_plan(plan, spec)
         mine = lut[local]
         out[local] += shard_out[mine]
         shards.append(

@@ -35,9 +35,6 @@ def microsim_cycles(kernel: Any, workload: Any, spec: GPUSpec = V100) -> float:
     device's own bandwidth/issue weights: memory sectors cost their
     DRAM service time, instructions their issue slots — the same two
     axes the analytical roofline uses, but fed by exact counts.
-
-    Raises :class:`NotImplementedError` for kernels without a
-    ``trace`` replay.
     """
     sim = MicroSim(spec=spec)
     kernel.trace(workload, sim)

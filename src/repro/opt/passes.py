@@ -15,8 +15,9 @@ never relaxes:
   dependence information the individual passes reason from; the re-lint
   is the independent check that their reasoning was sound.
 * **Profit** — every accepted rewrite must not regress the shared cost
-  model: :func:`modeled_runtime_s` (the same ``analyze_plan`` →
-  ``time_parts`` → ``cost_plan`` stack ``GNNSystem.run`` bills with)
+  model: :func:`modeled_runtime_s` (the same
+  :func:`~repro.plan.analyzer.model_plan` composition ``GNNSystem.run``
+  bills with)
   scores the plan before and after, and unprofitable rewrites are
   skipped (recorded, not raised — a pass that found nothing better is
   normal).
@@ -24,10 +25,10 @@ never relaxes:
 Numeric safety is structural: passes only delete ops whose results are
 never consumed, merge ops whose composition is associative by their
 effect tables, or swap the compute kernel for another
-:class:`~repro.kernels.base.ConvKernel` — and every ConvKernel's
-``run()`` is bit-exact against the shared functional reference, so the
-executed output is byte-identical by construction.  The golden-cell
-tests assert exactly that.
+:class:`~repro.kernels.base.ConvKernel` — and the executor computes every
+plan's output as the shared reference aggregation of its compute step's
+workload, which no pass touches, so the executed output is byte-identical
+by construction.  The golden-cell tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Any
 from ..gpusim.config import GPUSpec
 from ..lint import Finding, lint_plan
 from ..obs.tracer import span
-from ..plan.analyzer import analyze_plan, cost_plan, time_parts
+from ..plan.analyzer import model_plan
 from ..plan.ir import ExecutionPlan
 from ..verify import decide_equivalence, normalize_plan
 
@@ -98,12 +99,7 @@ def modeled_runtime_s(plan: ExecutionPlan, spec: GPUSpec) -> float:
     one-off preprocessing, so "fewer launches" is rewarded exactly as
     much as the serving path would observe.
     """
-    pipeline, parts = analyze_plan(plan, spec)
-    timings = time_parts(parts, spec)
-    timing = cost_plan(
-        pipeline, timings, spec, dispatch_seconds=plan.dispatch_seconds
-    )
-    return timing.total_seconds
+    return model_plan(plan, spec)[1].total_seconds
 
 
 def error_keys(plan: ExecutionPlan, spec: GPUSpec) -> set[tuple[str, str, str]]:

@@ -16,8 +16,9 @@ Four rewrite families, in the order the default pipeline runs them:
   across the level-1 mapping space the paper sweeps by hand (warp-per-
   vertex TLPGNN variants, thread-per-vertex, CTA-per-vertex, warp-per-
   edge-chunk, edge-centric atomics), scoring each full plan with the
-  shared cost model.  Safe because every ConvKernel's ``run()`` is
-  bit-exact against the shared reference.
+  shared cost model.  Safe because a plan's output is the shared
+  reference aggregation of its compute step, whatever kernel its conv op
+  launches.
 * :class:`LaunchTuning` — grid search over the surviving TLPGNN kernel's
   launch geometry: warps-per-block (thread count), ``step`` (software-
   pool chunk), and ``group_size`` (feature tiling — Figure 11's knob).
@@ -46,7 +47,7 @@ from ..kernels import (
 )
 from ..lint.access import KernelAccess
 from ..lint.effects import LaunchEnvelope, effect_table, is_transient
-from ..plan.ir import ComputeStep, ExecutionPlan, KernelOp
+from ..plan.ir import ExecutionPlan, KernelOp
 from .passes import PassContext, PlanPass, modeled_runtime_s
 
 __all__ = [
@@ -115,25 +116,20 @@ def kernel_from_knobs(knobs: Mapping[str, Any], *, dataset: Any = None) -> Any:
 
 
 def _conv_index(plan: ExecutionPlan) -> int | None:
-    """Index of the plan's single conv op bound to the compute kernel.
+    """Index of the plan's compute kernel launch, its single conv op.
 
-    Mapping passes only apply to plans whose numeric output is one
-    ConvKernel launch (``compute.kind == "kernel"``) with exactly one
-    conv op in the pipeline carrying that kernel — the TLPGNN-shaped
-    plans.  Multi-conv or reference-computed pipelines are left alone.
+    Mapping passes only apply to plans with exactly one conv op — the
+    TLPGNN-shaped plans.  Multi-conv or conv-free pipelines are left
+    alone.
     """
-    if plan.compute.kind != "kernel" or plan.compute.kernel is None:
+    conv = plan.conv_op
+    if conv is None:
         return None
-    idx = [i for i, op in enumerate(plan.ops) if op.kind == "conv"]
-    if len(idx) != 1:
-        return None
-    if plan.ops[idx[0]].kernel is not plan.compute.kernel:
-        return None
-    return idx[0]
+    return next(i for i, op in enumerate(plan.ops) if op is conv)
 
 
 def _with_kernel(plan: ExecutionPlan, idx: int, kernel: Any) -> ExecutionPlan:
-    """Rebind the conv op at ``idx`` and the compute step to ``kernel``."""
+    """Rebind the conv op at ``idx`` to ``kernel``."""
     old = plan.ops[idx]
     new_op = KernelOp(
         name=kernel.name,
@@ -145,8 +141,7 @@ def _with_kernel(plan: ExecutionPlan, idx: int, kernel: Any) -> ExecutionPlan:
     )
     ops = list(plan.ops)
     ops[idx] = new_op
-    compute = replace(plan.compute, kernel=kernel)
-    return replace(plan, ops=ops, compute=compute)
+    return replace(plan, ops=ops)
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +457,7 @@ class WorkloadMappingSelection(PlanPass):
         if idx is None:
             return None
         workload = plan.ops[idx].workload
-        current = plan.compute.kernel
+        current = plan.ops[idx].kernel
         best_plan: ExecutionPlan | None = None
         best_ms = modeled_runtime_s(plan, ctx.spec)
         for kernel in mapping_candidates(workload, ctx)[: max(ctx.budget, 1)]:
@@ -528,11 +523,12 @@ class LaunchTuning(PlanPass):
         self, plan: ExecutionPlan, ctx: PassContext
     ) -> ExecutionPlan | None:
         idx = _conv_index(plan)
-        if idx is None or not isinstance(plan.compute.kernel, TLPGNNKernel):
+        incumbent = None if idx is None else plan.ops[idx].kernel
+        if idx is None or not isinstance(incumbent, TLPGNNKernel):
             return None
         # the incumbent geometry is variants[0] and is already scored as
         # `plan` itself, so only the rest consume search budget
-        rest = launch_grid(plan.compute.kernel)[1:]
+        rest = launch_grid(incumbent)[1:]
         if len(rest) + 1 > ctx.budget:
             order = np.random.default_rng(ctx.seed).permutation(len(rest))
             rest = [rest[int(j)] for j in order[: max(ctx.budget - 1, 0)]]
@@ -572,6 +568,6 @@ class ApplyTunedKnobs(PlanPass):
         kernel = kernel_from_knobs(ctx.tuned, dataset=ctx.dataset)
         if kernel is None or not kernel.supports(plan.ops[idx].workload):
             return None
-        if knobs_for_kernel(plan.compute.kernel) == knobs_for_kernel(kernel):
+        if knobs_for_kernel(plan.ops[idx].kernel) == knobs_for_kernel(kernel):
             return None
         return _with_kernel(plan, idx, kernel)

@@ -386,11 +386,8 @@ class AutoTuner:
             system=system.name, model=model, graph=graph, X=X,
             spec=spec, dataset=dataset,
         )
-        default_knobs = (
-            knobs_for_kernel(plan.compute.kernel)
-            if plan.compute.kind == "kernel"
-            else None
-        )
+        conv = plan.conv_op
+        default_knobs = knobs_for_kernel(conv.kernel) if conv else None
         idx = _conv_index(plan)
         with span("opt.tune", system=system.name, model=model,
                   graph=graph.name):
@@ -448,7 +445,7 @@ class AutoTuner:
         iterations = 0
 
         if idx is None:
-            # no rebindable compute kernel (reference-computed baseline
+            # no rebindable compute kernel (conv-free baseline
             # pipelines): the safe-optimized default is the decision
             best = default_knobs or {"kernel": "reference"}
             return TuningResult(

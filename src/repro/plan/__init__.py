@@ -9,13 +9,14 @@ shared by all systems (and by :mod:`repro.multigpu` and
 1. **lower** — a system's :meth:`~repro.frameworks.base.GNNSystem._lower`
    rule turns (model, graph, features, spec, knobs) into an
    :class:`ExecutionPlan`: an ordered list of :class:`KernelOp` entries
-   plus one :class:`ComputeStep` describing the numeric output.
-2. **execute** — :func:`execute_plan` produces the output features; one
-   executor replaces the per-framework run loops.
-3. **analyze/cost** — :func:`analyze_plan` + :func:`time_parts` +
-   :func:`cost_plan` produce ``KernelStats``/``ScheduleResult``/
-   ``KernelTiming`` through one shared path (the single source of truth
-   for ``dispatch_seconds`` handling).
+   plus one :class:`ComputeStep` naming the convolution computed.
+2. **execute** — :func:`execute_plan` produces the output features: the
+   exact reference aggregation of the compute step's workload, the same
+   function for every system.
+3. **analyze/cost** — :func:`model_plan` composes :func:`analyze_plan` +
+   :func:`time_parts` + :func:`cost_plan` into ``KernelStats``/
+   ``ScheduleResult``/``KernelTiming`` through one shared path (the
+   single source of truth for ``dispatch_seconds`` handling).
 
 Stages 2 and 3 are memoized in a bounded :class:`PlanCache` keyed by
 :func:`plan_fingerprint` — a content hash of graph + features + model +
@@ -23,7 +24,7 @@ system knobs + device spec — so warm-cache serving skips re-analysis
 entirely.
 """
 
-from .analyzer import analyze_plan, cost_plan, time_parts
+from .analyzer import analyze_plan, cost_plan, model_plan, time_parts
 from .cache import (
     PlanCache,
     PlanCacheEntry,
@@ -44,6 +45,7 @@ __all__ = [
     "analyze_plan",
     "time_parts",
     "cost_plan",
+    "model_plan",
     "PlanCache",
     "PlanCacheEntry",
     "plan_fingerprint",

@@ -1,12 +1,14 @@
 """The shared analyze/cost stage: counters → schedule → modeled time.
 
-One path — previously copy-pasted across ``frameworks/base.py``,
-``kernels/base.py``, and ``bench/tables.py`` — turns a plan's ops into
-``KernelStats``/``ScheduleResult`` pairs, times each with the
-theoretical-occupancy-aware :func:`~repro.gpusim.costmodel.estimate_kernel`,
-and assembles the :class:`~repro.gpusim.costmodel.PipelineTiming`.
-:func:`cost_plan` is the single source of truth for ``dispatch_seconds``
-handling (the per-kernel framework dispatch tax DGL-class runtimes pay).
+One path turns a plan's ops into ``KernelStats``/``ScheduleResult``
+pairs (:func:`analyze_plan`), times each with the
+theoretical-occupancy-aware :func:`~repro.gpusim.costmodel.estimate_kernel`
+(:func:`time_parts`), and assembles the
+:class:`~repro.gpusim.costmodel.PipelineTiming` (:func:`cost_plan`, the
+single source of truth for ``dispatch_seconds`` handling: the per-kernel
+framework dispatch tax DGL-class runtimes pay).  :func:`model_plan`
+composes the three from the plan alone; the run path, the optimizer's
+profit metric and the multi-GPU shards all call it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..gpusim.occupancy import theoretical_occupancy
 from ..gpusim.scheduler import ScheduleResult
 from .ir import ExecutionPlan
 
-__all__ = ["analyze_plan", "time_parts", "cost_plan"]
+__all__ = ["analyze_plan", "time_parts", "cost_plan", "model_plan"]
 
 #: a (counters, schedule) pair, the unit flowing between analyze and cost
 Part = tuple[KernelStats, ScheduleResult]
@@ -73,3 +75,16 @@ def cost_plan(
             pipeline, timings, eff_spec, framework_dispatch=True
         )
     return estimate_pipeline(pipeline, timings, spec)
+
+
+def model_plan(
+    plan: ExecutionPlan, spec: GPUSpec
+) -> tuple[PipelineStats, PipelineTiming]:
+    """Analyze, time and cost ``plan`` on ``spec``, billing the plan's own
+    per-kernel dispatch cost."""
+    pipeline, parts = analyze_plan(plan, spec)
+    timing = cost_plan(
+        pipeline, time_parts(parts, spec), spec,
+        dispatch_seconds=plan.dispatch_seconds,
+    )
+    return pipeline, timing

@@ -3,8 +3,10 @@
 A plan is the compile-stage artifact of one (system, model, graph,
 features, spec) cell: the ordered kernel list with each kernel's workload
 or counter-model closure, the workload-balance choice, the fusion
-structure, and one :class:`ComputeStep` describing how the numeric output
-is produced.  Plans carry no timing — analysis and costing happen in
+structure, and one :class:`ComputeStep` naming the convolution the plan
+computes.  The compute kernel, when the pipeline has one, is recorded
+once: as the plan's single ``conv`` op (:attr:`ExecutionPlan.conv_op`).
+Plans carry no timing — analysis and costing happen in
 :mod:`repro.plan.analyzer` so they can be cached and re-dispatched
 without re-lowering.
 """
@@ -89,19 +91,17 @@ class KernelOp:
 
 @dataclass(frozen=True)
 class ComputeStep:
-    """How a plan's numeric output is produced (the execute stage).
+    """The convolution a plan computes (the execute stage's input).
 
-    ``kind="kernel"`` runs ``kernel.run(workload)``; ``kind="reference"``
-    runs the exact functional reference over the workload (the baselines
-    whose many-launch pipelines are numerically just the reference
-    aggregation).  ``output_perm`` optionally un-permutes the output back
-    to the caller's vertex order (GNNAdvisor's reordering).
+    Every system computes the same function of its workload, the exact
+    reference aggregation; kernels differ in how the work maps onto the
+    GPU, not in what they compute.  ``output_perm`` optionally
+    un-permutes the output back to the caller's vertex order
+    (GNNAdvisor's reordering).
     """
 
-    kind: str  # "kernel" | "reference"
     workload: ConvWorkload
-    kernel: Any | None = None
-    #: span label for reference-kind execution
+    #: span label of the execution when the plan has no conv op
     label: str | None = None
     output_perm: np.ndarray | None = None
 
@@ -146,6 +146,13 @@ class ExecutionPlan:
     @property
     def op_names(self) -> tuple[str, ...]:
         return tuple(op.name for op in self.ops)
+
+    @property
+    def conv_op(self) -> KernelOp | None:
+        """The plan's compute kernel launch: its single ``conv`` op, or
+        None when the pipeline has no conv op or more than one."""
+        convs = [op for op in self.ops if op.kind == "conv"]
+        return convs[0] if len(convs) == 1 else None
 
     def info(self, *, cached: bool = False) -> PlanInfo:
         return PlanInfo(
@@ -201,7 +208,11 @@ def plan_for_kernel(
     pipeline_name: str | None = None,
     balance: str | None = None,
 ) -> ExecutionPlan:
-    """Wrap a single ConvKernel launch as a one-op plan (multigpu shards)."""
+    """Wrap a single ConvKernel launch as a one-op plan (multigpu shards).
+
+    Raises ``ValueError`` when the kernel cannot execute the workload.
+    """
+    kernel.check_supports(workload)
     return ExecutionPlan(
         system=system,
         model=model,
@@ -216,5 +227,5 @@ def plan_for_kernel(
                 balance=balance or getattr(kernel, "assignment", None),
             )
         ],
-        compute=ComputeStep(kind="kernel", kernel=kernel, workload=workload),
+        compute=ComputeStep(workload=workload),
     )

@@ -190,41 +190,26 @@ def _scale_term(workload: Any) -> tuple[str, ...]:
     return ("unit",)
 
 
-def _ordering_class(
-    compute: Any, workload: Any
-) -> tuple[str | None, list[Finding]]:
-    """Derive the merge discipline of the compute step.
+def _ordering_class(conv: Any, workload: Any) -> str | None:
+    """Derive the merge discipline of the plan's compute kernel launch.
 
-    ``reference`` computes in a single serial pass — exact.  A kernel's
-    class follows from its derived effect table: exclusive writes are
-    exact; atomic merges are exact only for idempotent reductions and
-    fall into the float-sum reassociation class otherwise.  A kernel
-    that declares no effect table is unprovable (EQ001).
+    A plan without a conv op computes in a single serial pass — exact.
+    Otherwise the class follows from the conv op's stored effect table:
+    exclusive writes are exact; atomic merges are exact only for
+    idempotent reductions and fall into the float-sum reassociation
+    class otherwise.  A conv op without an effect table is unprovable
+    (None); the dataflow closure reports it as EQ001.
     """
-    if compute.kind == "reference":
-        return ORDER_EXACT, []
-    kernel = compute.kernel
-    effects = None
-    decl = getattr(kernel, "effects", None)
-    if callable(decl):
-        effects = decl(workload)
+    if conv is None:
+        return ORDER_EXACT
+    effects = conv.effects
     if effects is None:
-        name = getattr(kernel, "name", type(kernel).__name__)
-        return None, [
-            make_finding(
-                "EQ001",
-                f"compute kernel {name!r} declares no effect table: its "
-                "merge discipline (and hence the reduction ordering "
-                "class) cannot be derived",
-                op=name,
-                buffer="out",
-            )
-        ]
+        return None
     if "out" in effects.atomics or effects.atomic_ops > 0:
         if workload.reduce in _IDEMPOTENT_REDUCES:
-            return ORDER_EXACT, []  # idempotent merge: order-free
-        return ORDER_FLOAT_SUM, []
-    return ORDER_EXACT, []
+            return ORDER_EXACT  # idempotent merge: order-free
+        return ORDER_FLOAT_SUM
+    return ORDER_EXACT
 
 
 def _dataflow_sources(ops: Any) -> tuple[tuple[str, ...], list[Finding]]:
@@ -283,9 +268,8 @@ def normalize_plan(plan: Any) -> PlanNormalForm:
     """
     compute = plan.compute
     workload = compute.workload
-    ordering, findings = _ordering_class(compute, workload)
-    sources, flow_findings = _dataflow_sources(plan.ops)
-    findings = list(findings) + flow_findings
+    ordering = _ordering_class(plan.conv_op, workload)
+    sources, findings = _dataflow_sources(plan.ops)
     term = ProducerTerm(
         buffer="out",
         graph=workload.graph.fingerprint(),

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, chain, erdos_renyi, from_edge_list, power_law, star
-from repro.models import build_conv
+from repro.models import build_conv, reference_aggregate
 from repro.models.convspec import ConvWorkload
-from repro.plan import get_plan_cache
+from repro.plan import execute_plan, get_plan_cache, plan_for_kernel
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +67,25 @@ def make_workload(
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((graph.num_vertices, feat_dim), dtype=np.float32)
     return build_conv(model, graph, X, rng=rng)
+
+
+def assert_plan_is_reference(kernel, wl: ConvWorkload) -> None:
+    """The kernel's one-launch plan computes the reference output byte for
+    byte and its counter model costs the launch; a workload the kernel
+    cannot execute is refused by both entry points instead."""
+    if not kernel.supports(wl):
+        refused = re.escape(repr(kernel.name))
+        with pytest.raises(ValueError, match=refused):
+            plan_for_kernel(kernel, wl)
+        with pytest.raises(ValueError, match=refused):
+            kernel.execute(wl)
+        return
+    plan = plan_for_kernel(kernel, wl)
+    assert plan.conv_op.kernel is kernel
+    assert np.array_equal(execute_plan(plan), reference_aggregate(wl))
+    res = kernel.execute(wl)
+    res.stats.validate()
+    assert res.timing.gpu_seconds > 0
 
 
 @pytest.fixture

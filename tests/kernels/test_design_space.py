@@ -5,7 +5,6 @@ mapping must win.  Level 2: edge parallelism vs feature parallelism within
 the warp — feature parallelism must win.
 """
 
-import numpy as np
 import pytest
 
 from repro.gpusim import MicroSim
@@ -15,9 +14,8 @@ from repro.kernels import (
     PullThreadKernel,
     TLPGNNKernel,
 )
-from repro.models import reference_aggregate
 
-from ..conftest import make_workload
+from ..conftest import assert_plan_is_reference, make_workload
 
 
 class TestCorrectness:
@@ -33,10 +31,7 @@ class TestCorrectness:
     )
     @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
     def test_matches_reference(self, small_random, kernel, model):
-        wl = make_workload(small_random, model, 16)
-        np.testing.assert_allclose(
-            kernel.run(wl), reference_aggregate(wl), rtol=1e-4, atol=1e-5
-        )
+        assert_plan_is_reference(kernel, make_workload(small_random, model, 16))
 
     def test_cta_validates(self):
         with pytest.raises(ValueError):

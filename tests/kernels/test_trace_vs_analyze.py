@@ -7,7 +7,6 @@ analytical model upper-bounds sector counts by ignoring incidental
 lane-address sharing).
 """
 
-import numpy as np
 import pytest
 
 from repro.gpusim import MicroSim
@@ -18,18 +17,14 @@ from repro.kernels import (
     PushKernel,
     TLPGNNKernel,
 )
-from repro.models import reference_aggregate
 
 from ..conftest import make_workload
 
 
 def _run_both(kernel, wl):
     sim = MicroSim()
-    out = kernel.trace(wl, sim)
+    kernel.trace(wl, sim)
     stats, _ = kernel.analyze(wl)
-    np.testing.assert_allclose(
-        out, reference_aggregate(wl), rtol=1e-4, atol=1e-5
-    )
     return sim, stats
 
 

@@ -12,6 +12,7 @@ about access shape, not tail effects.
 import numpy as np
 import pytest
 
+from repro.graph.csr import from_edge_list
 from repro.graph.generators import erdos_renyi, power_law
 from repro.kernels.edge_centric import EdgeCentricKernel
 from repro.kernels.edge_parallel_warp import EdgeParallelWarpKernel
@@ -110,3 +111,54 @@ def test_scatter_and_pull_designs_are_flagged(kernel, rules):
     found = {f.rule for f in access_findings(plan)}
     assert rules <= found, (kernel.name, found)
     assert "OOB001" not in found and "ACC001" not in found, found
+
+
+class _PullThreadClaimingTLPGNN(PullThreadKernel):
+    """Thread-per-vertex pulls that declare TLPGNN's coalesced table."""
+
+    def access_patterns(self, workload):
+        return TLPGNNKernel().access_patterns(workload)
+
+
+class _TLPGNNClaimingPullThread(TLPGNNKernel):
+    """Warp-per-vertex rows that declare pull-thread's gather table."""
+
+    def access_patterns(self, workload):
+        return PullThreadKernel().access_patterns(workload)
+
+
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+def test_coalesced_claim_of_a_gather_kernel_is_flagged(gname):
+    workload = _workloads(GRAPHS[gname])["plain"]
+    problems = cross_validate_access(_PullThreadClaimingTLPGNN(), workload)
+    for source in ("the counter model", "the micro-sim"):
+        assert any(f"statically coalesced but {source}" in p for p in problems)
+
+
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+def test_gather_claim_of_a_coalesced_kernel_is_flagged(gname):
+    workload = _workloads(GRAPHS[gname])["plain"]
+    problems = cross_validate_access(_TLPGNNClaimingPullThread(), workload)
+    assert any("statically uncoalesced but the micro-sim" in p for p in problems)
+    assert any("(DIV001)" in p for p in problems)
+
+
+def _ring(n):
+    return from_edge_list(np.arange(n), (np.arange(n) - 1) % n, n, name="ring")
+
+
+@pytest.mark.parametrize("graph,feat", [
+    # four lanes, all gathering vertex 0's row: at most four sectors per
+    # request and no divergence, whatever the kernel's access shape
+    (from_edge_list([0, 0, 0, 0], [0, 1, 2, 3], 4, name="fan_in"), 4),
+    (_ring(4), 4),
+    (_ring(4), 8),
+    (_ring(4), 32),
+    # a full warp of uniform in-degree: a per-lane degree loop cannot
+    # mask lanes
+    (_ring(32), 4),
+], ids=["fan_in4-F4", "ring4-F4", "ring4-F8", "ring4-F32", "ring32-F4"])
+def test_gather_kernel_is_not_held_to_unobservable_effects(graph, feat):
+    X = np.random.default_rng(0).standard_normal((graph.num_vertices, feat))
+    workload = ConvWorkload(graph=graph, X=X.astype(np.float32), reduce="sum")
+    assert cross_validate_access(PullThreadKernel(), workload) == []

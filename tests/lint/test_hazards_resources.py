@@ -34,7 +34,7 @@ def _plan(ops, fingerprint=None):
     return ExecutionPlan(
         system="X", model="m", graph_name="g", pipeline_name="p",
         ops=ops,
-        compute=ComputeStep(kind="reference", workload=None),
+        compute=ComputeStep(workload=None),
         fingerprint=fingerprint,
     )
 

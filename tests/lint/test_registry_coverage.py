@@ -59,7 +59,7 @@ def _plan(ops, workload=None, fingerprint=None):
     return ExecutionPlan(
         system="X", model="m", graph_name="g", pipeline_name="p",
         ops=ops,
-        compute=ComputeStep(kind="reference", workload=workload),
+        compute=ComputeStep(workload=workload),
         fingerprint=fingerprint,
     )
 

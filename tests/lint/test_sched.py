@@ -27,7 +27,7 @@ def _plan(ops):
     return ExecutionPlan(
         system="X", model="m", graph_name="g", pipeline_name="p",
         ops=ops,
-        compute=ComputeStep(kind="reference", workload=None),
+        compute=ComputeStep(workload=None),
     )
 
 

@@ -10,7 +10,7 @@ from repro.kernels import EdgeCentricKernel, PullThreadKernel, TLPGNNKernel
 from repro.lint.effects import LaunchEnvelope, effect_table
 from repro.mp import MessageSpec, ReduceSpec, bind
 from repro.opt import optimize_plan
-from repro.plan import ComputeStep, ExecutionPlan
+from repro.plan import ComputeStep, ExecutionPlan, KernelOp
 from repro.plan.ir import plan_for_kernel
 from repro.verify import (
     ORDER_EXACT,
@@ -20,6 +20,17 @@ from repro.verify import (
 )
 
 ENV = LaunchEnvelope(threads_per_block=128)
+
+
+def _conv_plan(kernel, workload):
+    """A one-op plan around a hand-written kernel double."""
+    return ExecutionPlan(
+        system="X", model="m", graph_name=workload.graph.name,
+        pipeline_name="p",
+        ops=[KernelOp(name=kernel.name, kind="conv", kernel=kernel,
+                      workload=workload)],
+        compute=ComputeStep(workload=workload),
+    )
 
 
 class TestOrderingClasses:
@@ -36,7 +47,7 @@ class TestOrderingClasses:
     def test_reference_compute_is_exact(self, cr_cell):
         ds, X, spec, _ = cr_cell
         plan = SYSTEMS["DGL"]().lower("gcn", ds, X, spec)
-        assert plan.compute.kind == "reference"
+        assert plan.conv_op is None
         nf = normalize_plan(plan)
         assert nf.terms[0].ordering == ORDER_EXACT
 
@@ -53,24 +64,14 @@ class TestOrderingClasses:
                 )
 
         w = replace(tiny_workload, edge_weights=None, reduce="max")
-        plan = ExecutionPlan(
-            system="X", model="m", graph_name=w.graph.name,
-            pipeline_name="p", ops=[],
-            compute=ComputeStep(kind="kernel", workload=w,
-                                kernel=_AtomicMax()),
-        )
+        plan = _conv_plan(_AtomicMax(), w)
         assert normalize_plan(plan).terms[0].ordering == ORDER_EXACT
 
     def test_effectless_kernel_is_unprovable(self, tiny_workload):
         class _Opaque:
             name = "opaque"
 
-        plan = ExecutionPlan(
-            system="X", model="m", graph_name=tiny_workload.graph.name,
-            pipeline_name="p", ops=[],
-            compute=ComputeStep(kind="kernel", workload=tiny_workload,
-                                kernel=_Opaque()),
-        )
+        plan = _conv_plan(_Opaque(), tiny_workload)
         nf = normalize_plan(plan)
         assert not nf.provable
         assert [f.rule for f in nf.findings] == ["EQ001"]
