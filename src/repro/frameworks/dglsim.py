@@ -11,6 +11,8 @@ Python dispatch overhead DGL pays ("Runtime − GPU time" in Table 3).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..gpusim.config import GPUSpec
@@ -24,7 +26,6 @@ from ..lint import access
 from ..lint.access import KernelAccess
 from ..lint.effects import LaunchEnvelope, effect_table
 from ..mp import SpmmStage, build_model, dgl_stage_plan, model_features
-from ..obs.tracer import span
 from ..plan import ComputeStep, ExecutionPlan, KernelOp
 from .base import GNNSystem
 
@@ -74,23 +75,6 @@ class DGLSystem(GNNSystem):
         """SpMM kernel: cuSPARSE CSR row-parallel, or (for the per-edge
         weighted GAT aggregation) the COO scatter path with atomicAdd —
         the reason DGL's GAT is its slowest model on large graphs."""
-        with span(
-            "kernel.analyze",
-            kernel="spmm_coo_atomic" if coo_atomic else "spmm",
-        ):
-            return self._spmm_stats(
-                graph, feat_dim, spec, weighted=weighted, coo_atomic=coo_atomic
-            )
-
-    def _spmm_stats(
-        self,
-        graph: CSRGraph,
-        feat_dim: int,
-        spec: GPUSpec,
-        *,
-        weighted: bool,
-        coo_atomic: bool = False,
-    ) -> tuple[KernelStats, ScheduleResult]:
         n, E = graph.num_vertices, graph.num_edges
         SF = feature_row_sectors(feat_dim)
         amap = make_amap_dim(graph, feat_dim)
@@ -127,13 +111,16 @@ class DGLSystem(GNNSystem):
             from ..gpusim.atomics import scatter_collision_rate
             from ..gpusim.memory import cached_dram_sectors
 
-            stats.atomic_ops = E * feat_dim
-            stats.atomic_collision_rate = scatter_collision_rate(graph.in_degrees)
-            stats.atomic_requests = E * (-(-feat_dim // 32))
-            stats.atomic_sectors = cached_dram_sectors(
-                E * SF, n * SF, int(spec.l2_bytes * 0.25)
+            stats = replace(
+                stats,
+                atomic_ops=E * feat_dim,
+                atomic_collision_rate=scatter_collision_rate(graph.in_degrees),
+                atomic_requests=E * (-(-feat_dim // 32)),
+                atomic_sectors=cached_dram_sectors(
+                    E * SF, n * SF, int(spec.l2_bytes * 0.25)
+                ),
+                l1_atomic_sectors=E * SF,
             )
-            stats.l1_atomic_sectors = E * SF
         return stats, sched
 
     def _elementwise(
@@ -149,19 +136,18 @@ class DGLSystem(GNNSystem):
     ) -> tuple[KernelStats, ScheduleResult]:
         g = gather or (0, 0)
         ws = items if workspace_items is None else workspace_items
-        with span("kernel.analyze", kernel=name):
-            return streaming_kernel_stats(
-                name,
-                items,
-                spec,
-                read_bytes_per_item=4.0 * reads,
-                write_bytes_per_item=4.0 * writes,
-                gather_touches=g[0],
-                gather_unique_sectors=g[1],
-                instr_per_item=3.0,
-                workspace_bytes=int(4 * ws),
-                l2_efficiency=0.5,
-            )
+        return streaming_kernel_stats(
+            name,
+            items,
+            spec,
+            read_bytes_per_item=4.0 * reads,
+            write_bytes_per_item=4.0 * writes,
+            gather_touches=g[0],
+            gather_unique_sectors=g[1],
+            instr_per_item=3.0,
+            workspace_bytes=int(4 * ws),
+            l2_efficiency=0.5,
+        )
 
     # ------------------------------------------------------------------
     def _lower(self, model, graph, X, spec, *, dataset, rng):

@@ -44,7 +44,7 @@ class LaunchConfig:
         return self.num_blocks * self.warps_per_block(threads_per_warp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelStats:
     """Modeled hardware counters of one kernel launch.
 
@@ -52,6 +52,10 @@ class KernelStats:
     ``*_bytes`` helpers.  ``warp_cycles`` carries the per-warp serial cost in
     cycles — the scheduler turns it into a makespan; everything else is a
     device-wide aggregate.
+
+    Frozen: an op's analysis memo and the plan cache hand one stats object
+    to many callers.  A memoized analysis also marks ``warp_cycles``
+    read-only; derive changed counters with ``dataclasses.replace``.
     """
 
     name: str

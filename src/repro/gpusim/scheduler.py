@@ -9,10 +9,13 @@ The paper's hybrid workload balancing (Section 5) contrasts two policies:
 * **software** — launch a fixed resident grid; warps pull chunks of
   vertices from a global atomic counter (Algorithm 1).
 
-Both reduce to computing a *makespan* over per-unit costs.  We provide an
-exact greedy list-scheduling simulation (heap-based, used for tests and
-small inputs) and a fast analytical bound used at scale; the tests pin the
-bound to the simulation.
+Both reduce to computing a *makespan* over per-unit costs.  Up to
+``_EXACT_SIM_LIMIT`` tasks the makespan is the exact greedy list schedule,
+which every modeled kernel of a perfbench or CI-sized cell uses.  It is
+computed a chunk of tasks per array step, with a heap for few workers and
+for stretches where chunks stay short; the results are bit-identical to
+the one-task-per-step heap the tests keep as their oracle.  Above the
+limit an analytical bound stands in; the tests pin it to the simulation.
 """
 
 from __future__ import annotations
@@ -34,8 +37,12 @@ __all__ = [
     "software_pool_schedule",
 ]
 
-#: Above this many tasks the exact heap simulation falls back to the bound.
+#: Above this many tasks the exact simulation falls back to the bound.
 _EXACT_SIM_LIMIT = 250_000
+
+#: Below this many workers the exact simulation steps the heap: a chunk
+#: holds at most one task per worker, too few to pay for its array steps.
+_CHUNK_FLOOR = 128
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,9 @@ def greedy_makespan(
     of both the hardware block distributor and the software task pool.  The
     analytical fallback is the classic Graham bound interpolation
     ``max(mean_load, max_task) <= makespan <= mean_load + max_task`` taken at
-    the mean-plus-tail point, which the tests show tracks the simulation
-    within a few percent for GNN-shaped distributions.
+    the mean-plus-tail point.  The tests hold it, on a heavy-tailed
+    GNN-shaped draw, between the trivial lower bound and 1.5x the exact
+    makespan, and within 40% of it.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if workers < 1:
@@ -97,17 +105,78 @@ def greedy_makespan(
             return max_task
         # Graham's list-scheduling guarantee: mean load plus the residual of
         # the worst task landing late.  Tests pin this against the exact
-        # heap simulation for GNN-shaped cost distributions.
+        # simulation for GNN-shaped cost distributions.
         return max(mean_load + max_task * (1.0 - 1.0 / workers), max_task)
     if n <= workers:
         return float(eff.max())
-    # Initialize: first `workers` tasks start immediately.
-    heap = sorted(float(c) for c in eff[:workers])
-    heapq.heapify(heap)
-    for c in eff[workers:]:
-        t = heapq.heappop(heap)
-        heapq.heappush(heap, t + float(c))
-    return float(max(heap))
+    # the first `workers` tasks start at once
+    free = np.sort(eff[:workers])
+    if workers < _CHUNK_FLOOR:
+        return max(_heap_steps(free.tolist(), eff[workers:].tolist()))
+    return _chunked_makespan(eff, free)
+
+
+def _heap_steps(free: list[float], costs: list[float]) -> list[float]:
+    """Give each task in turn to the earliest-free worker; ``free`` is a
+    heap of the workers' free times and comes back updated."""
+    for c in costs:
+        heapq.heapreplace(free, free[0] + c)
+    return free
+
+
+def _chunked_makespan(eff: np.ndarray, free: np.ndarray) -> float:
+    """Exact greedy makespan of ``eff[free.size:]`` onto workers whose
+    sorted free times are ``free``, a chunk of tasks per array step.
+
+    The heap gives task ``pos + i`` the earliest free time.  While every
+    time pushed by tasks ``pos .. pos + i - 1`` is at or after ``free[i]``,
+    that earliest time is ``free[i]``, so the next k tasks take the k
+    earliest slots in order.  The chunk is cut at the first task for which
+    an earlier push lands first; the pushed times are the same float
+    additions of the same operands as the heap's, ties included.  Where
+    chunks stay short (a few slots far ahead of the rest) the heap steps
+    instead, for a stretch that doubles while chunks stay short.
+    """
+    workers = free.size
+    n = eff.size
+    pos = workers
+    stretch = 4 * workers
+    while pos < n:
+        k = min(workers, n - pos)
+        pushed = free[:k] + eff[pos:pos + k]
+        if k > 1:
+            early = np.minimum.accumulate(pushed[:-1]) < free[1:k]
+            cut = int(early.argmax())
+            if early[cut]:
+                k = cut + 1
+                pushed = pushed[:k]
+        pushed.sort()
+        # two sorted runs: the stable sort (timsort) merges them
+        free = np.concatenate((free[k:], pushed))
+        free.sort(kind="stable")
+        pos += k
+        if k < workers // 8:
+            end = min(pos + stretch, n)
+            free = np.sort(_heap_steps(free.tolist(), eff[pos:end].tolist()))
+            pos = end
+            stretch *= 2
+        else:
+            stretch = 4 * workers
+    return float(free[-1])
+
+
+def _block_max(warp_cycles: np.ndarray, wpb: int) -> np.ndarray:
+    """Per-block cost of consecutive ``wpb``-warp blocks: the slowest warp's
+    (a short last block is padded with idle warps).  The maximum is taken
+    one warp lane at a time, which is much faster than a row-wise
+    reduction over narrow rows."""
+    n_blocks = -(-warp_cycles.size // wpb)
+    lanes = np.pad(warp_cycles, (0, n_blocks * wpb - warp_cycles.size))
+    lanes = lanes.reshape(n_blocks, wpb)
+    block_cost = lanes[:, 0].copy()
+    for j in range(1, wpb):
+        np.maximum(block_cost, lanes[:, j], out=block_cost)
+    return block_cost
 
 
 def hardware_schedule(
@@ -133,13 +202,10 @@ def hardware_schedule(
         raise ValueError("slot_share must be in (0, 1]")
     warp_cycles = np.asarray(warp_cycles, dtype=np.float64)
     wpb = launch.warps_per_block(spec.threads_per_warp)
-    n_warps = warp_cycles.size
-    if n_warps == 0:
+    if warp_cycles.size == 0:
         return ScheduleResult(0.0, 0.0, 0.0, 0, "hardware")
-    n_blocks = -(-n_warps // wpb)
-    pad = n_blocks * wpb - n_warps
-    padded = np.pad(warp_cycles, (0, pad))
-    block_cost = padded.reshape(n_blocks, wpb).max(axis=1)
+    block_cost = _block_max(warp_cycles, wpb)
+    n_blocks = block_cost.size
     blocks_per_sm = spec.occupancy_limit_blocks(
         launch.threads_per_block, launch.regs_per_thread, launch.shared_mem_per_block
     )
@@ -175,12 +241,10 @@ def static_schedule(
     """
     warp_cycles = np.asarray(warp_cycles, dtype=np.float64)
     wpb = launch.warps_per_block(spec.threads_per_warp)
-    n_warps = warp_cycles.size
-    if n_warps == 0:
+    if warp_cycles.size == 0:
         return ScheduleResult(0.0, 0.0, 0.0, 0, "static")
-    n_blocks = -(-n_warps // wpb)
-    pad = n_blocks * wpb - n_warps
-    block_cost = np.pad(warp_cycles, (0, pad)).reshape(n_blocks, wpb).max(axis=1)
+    block_cost = _block_max(warp_cycles, wpb)
+    n_blocks = block_cost.size
     blocks_per_sm = spec.occupancy_limit_blocks(
         launch.threads_per_block, launch.regs_per_thread, launch.shared_mem_per_block
     )

@@ -102,21 +102,21 @@ class PullThreadKernel(ConvKernel):
         schedule, launch = hardware_assignment(
             cycles, spec, warps_per_block=self.warps_per_block
         )
+        # l1_w counts the stores too; the load side is what remains
+        l1_store = int((F * lanes_w * scat_unit).sum())
         stats = KernelStats(
             name=self.name,
             launch=launch,
             load_sectors=int(dram_load),
             store_sectors=int(dram_store),
-            l1_load_sectors=int(l1_w.sum()),
-            l1_store_sectors=int((F * lanes_w * scat_unit).sum()),
+            l1_load_sectors=int(l1_w.sum()) - l1_store,
+            l1_store_sectors=l1_store,
             load_requests=int(req_w.sum() - W * F),
             store_requests=int(W * F),
             instructions=int(instr_w.sum()),
             warp_cycles=cycles,
             divergent_lanes=divergent,
         )
-        # l1_load double-counted the store portion inside l1_w; fix split.
-        stats.l1_load_sectors -= stats.l1_store_sectors
         return stats, schedule
 
     # ------------------------------------------------------------------

@@ -24,12 +24,19 @@ from ..gpusim.scheduler import ScheduleResult
 from ..lint.access import KernelAccess
 from ..lint.effects import KernelEffects
 from ..models.convspec import ConvWorkload
+from ..obs.events import EventSink, get_event_sink, set_event_sink
 from ..obs.tracer import span
 
 __all__ = ["KernelOp", "ComputeStep", "ExecutionPlan", "PlanInfo", "plan_for_kernel"]
 
 #: analyze closure signature for modeled (non-ConvKernel) ops
 AnalyzeFn = Callable[[GPUSpec], tuple[KernelStats, ScheduleResult]]
+
+#: one memoized analysis: the spec it ran for, its result, and the
+#: (kind, fields) events it emitted
+_Analysis = tuple[
+    GPUSpec, KernelStats, ScheduleResult, tuple[tuple[str, dict[str, Any]], ...]
+]
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,46 @@ class KernelOp:
                     object.__setattr__(self, "access", declare(self.workload))
 
     def analyze(self, spec: GPUSpec) -> tuple[KernelStats, ScheduleResult]:
-        """Produce this op's counters + schedule for ``spec``."""
+        """Produce this op's counters + schedule for ``spec``.
+
+        Analysis is a pure function of (op, spec), so it runs once per
+        spec object and the result is memoized on the op, the way
+        :func:`repro.identity.owned_digest` keeps digests on their owner;
+        a ``dataclasses.replace`` copy starts empty.  A hit still opens
+        the ``kernel.analyze`` span, tagged ``memo="hit"`` (a miss
+        ``"miss"``), and emits the events the analysis sent, so the
+        installed event sink sees the same stream either way.
+        """
+        memo: list[_Analysis] = vars(self).setdefault("_analyses", [])
+        done = next((a for a in memo if a[0] is spec), None)
+        label = self.kernel.name if self.kind == "conv" else self.name
+        with span(
+            "kernel.analyze", kernel=label, memo="miss" if done is None else "hit"
+        ) as sp:
+            if done is None:
+                recorder = EventSink()
+                outer = set_event_sink(recorder)
+                try:
+                    stats, sched = self._compute(spec)
+                finally:
+                    set_event_sink(outer)
+                stats.warp_cycles.setflags(write=False)
+                events = tuple((e.pop("kind"), e) for e in recorder.events)
+                done = (spec, stats, sched, events)
+                memo.append(done)
+            _, stats, sched, events = done
+            if sp is not None:
+                sp.set(num_units=sched.num_units, policy=sched.policy)
+        sink = get_event_sink()
+        if sink is not None:
+            for kind, fields in events:
+                sink.emit(kind, **fields)
+        return stats, sched
+
+    def _compute(self, spec: GPUSpec) -> tuple[KernelStats, ScheduleResult]:
+        """Run the op's counter model (no memo)."""
         if self.kind == "conv":
-            with span("kernel.analyze", kernel=self.kernel.name) as sp:
-                stats, sched = self.kernel.analyze(self.workload, spec)
-                if sp is not None:
-                    sp.set(num_units=sched.num_units, policy=sched.policy)
-            return stats, sched
+            return self.kernel.analyze(self.workload, spec)
         if self.analyze_fn is None:
             raise ValueError(f"modeled op {self.name!r} has no analyze_fn")
         return self.analyze_fn(spec)

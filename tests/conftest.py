@@ -6,11 +6,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import CSRGraph, chain, erdos_renyi, from_edge_list, power_law, star
 from repro.models import build_conv, reference_aggregate
 from repro.models.convspec import ConvWorkload
 from repro.plan import execute_plan, get_plan_cache, plan_for_kernel
+
+#: ``--hypothesis-profile=thorough``: a long run of the property tests that
+#: leave ``max_examples`` to the profile (CI runs the scheduler oracle so);
+#: tier-1 keeps the default profile
+settings.register_profile("thorough", max_examples=5000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

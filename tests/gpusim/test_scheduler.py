@@ -1,5 +1,7 @@
 """Scheduling models: greedy makespan, hardware/static/software policies."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,3 +191,89 @@ def test_greedy_makespan_bounds_property(n, workers, seed):
     span = greedy_makespan(costs, workers, exact=True)
     assert span >= max(costs.max(), costs.sum() / workers) - 1e-9
     assert span <= costs.sum() / workers + costs.max() + 1e-9
+
+
+# ----------------------------------------------------------------------
+# the exact path against the heap it replaced
+# ----------------------------------------------------------------------
+def _heap_makespan(costs, workers):
+    """The oracle: greedy list scheduling one task per heap step."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.size == 0:
+        return 0.0
+    if costs.size <= workers:
+        return float(costs.max())
+    heap = sorted(float(c) for c in costs[:workers])
+    heapq.heapify(heap)
+    for c in costs[workers:]:
+        t = heapq.heappop(heap)
+        heapq.heappush(heap, t + float(c))
+    return float(max(heap))
+
+
+def _draw_costs(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return rng.exponential(50.0, n) * rng.uniform(0.5, 2.0)
+    if kind == "ties":  # integer-valued, a handful of distinct values
+        return rng.integers(0, 6, n).astype(np.float64)
+    if kind == "zeros":  # runs of free tasks between real ones
+        return np.where(rng.random(n) < 0.6, 0.0, rng.uniform(1.0, 20.0, n))
+    return rng.pareto(1.1, n) * 10.0  # heavy tail
+
+
+@given(
+    kind=st.sampled_from(["float", "ties", "zeros", "pareto"]),
+    n=st.integers(1, 3000),
+    workers=st.integers(1, 400),
+    overhead=st.sampled_from([0.0, 0.5, 24.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None)
+def test_exact_makespan_equals_heap(kind, n, workers, overhead, seed):
+    costs = _draw_costs(kind, n, seed)
+    span = greedy_makespan(
+        costs, workers, per_task_overhead=overhead, exact=True
+    )
+    assert span == _heap_makespan(costs + overhead, workers)
+
+
+def _adversarial(workers, n=6000):
+    rng = np.random.default_rng(workers)
+    base = rng.exponential(30.0, n)
+    return {
+        # a few slots far ahead of the rest, then a flood of tiny tasks:
+        # every chunk collapses to one task
+        "staggered-then-tiny": np.concatenate(
+            [np.arange(workers) * 1000.0, np.full(n, 1.0)]
+        ),
+        "ascending": np.sort(base),
+        "descending": np.sort(base)[::-1].copy(),
+        "descending-geometric": np.geomspace(1e9, 1.0, n),
+        "huge-first": np.concatenate([[1e9], rng.uniform(1.0, 10.0, n)]),
+        "pareto": rng.pareto(1.1, n) * 10.0 + 1.0,
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 127, 128, 129, 160, 400, 1280])
+def test_exact_makespan_equals_heap_on_adversarial_families(workers):
+    for name, costs in _adversarial(workers).items():
+        span = greedy_makespan(costs, workers, exact=True)
+        assert span == _heap_makespan(costs, workers), name
+
+
+def test_block_costs_are_the_slowest_warp():
+    rng = np.random.default_rng(5)
+    # more blocks than slots, and a short last block
+    cycles = rng.uniform(1.0, 100.0, 20_001)
+    launch = LaunchConfig(num_blocks=1, threads_per_block=4 * 32)
+    slots = V100.num_sms * V100.occupancy_limit_blocks(
+        launch.threads_per_block, launch.regs_per_thread, 0
+    )
+    blocks = np.pad(cycles, (0, 3)).reshape(-1, 4).max(axis=1)
+    expected = _heap_makespan(blocks + V100.block_schedule_cycles, slots)
+    assert hardware_schedule(cycles, launch, V100).makespan_cycles == expected
+    per_slot = np.pad(blocks, (0, (-blocks.size) % slots)).reshape(-1, slots)
+    assert static_schedule(cycles, launch, V100).makespan_cycles == float(
+        per_slot.sum(axis=0).max()
+    )
