@@ -155,7 +155,7 @@ def run_system(
     config: BenchConfig,
     *,
     X: np.ndarray | None = None,
-    opt: str | None = None,
+    opt: str = "off",
 ) -> SystemResult | None:
     """Run one (system, model, dataset) cell; None where the paper has a dash
     (unsupported model or capacity failure)."""

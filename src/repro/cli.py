@@ -106,7 +106,7 @@ SERVING = (
 
 _ARCHIVE = _opt("--archive", default=None, metavar="DIR",
                 help="also record the profile into this archive directory")
-_OPT = _opt("--opt", choices=["off", "safe", "search"], default=None,
+_OPT = _opt("--opt", choices=["off", "safe", "search"], default="off",
             help="plan-IR optimizer level (search replays the tuned-plan "
             "store)")
 _LEVEL = _opt("--level", choices=["safe", "search"], default="search",
@@ -202,7 +202,7 @@ def _archive(args, config, cell: Cell, res, out) -> None:
         print(f"archived profile -> {path}", file=out)
 
 
-def _servable(args, config, out, *, opt: str | None = None):
+def _servable(args, config, out, *, opt: str = "off"):
     """The served (system, model, dataset) unit, or None (reported) when
     the system does not implement the model."""
     from .frameworks.base import UnsupportedModelError

@@ -11,16 +11,15 @@ systems agree by construction and Table 5 compares *how*, not *what*.
 Systems are pure lowering rules: subclasses implement ``_lower`` (and
 ``plan_knobs`` for their cache-key knobs); ``run()`` is the shared
 three-stage driver with the :class:`~repro.plan.PlanCache` in front.
-Cache bypass rules: an explicit ``rng`` (caller-controlled randomness)
-or an installed tracer (spans must observe real execution) always runs
-the full pipeline.  ``lower()`` and ``run()`` resolve a cell the same
-way (``_prepare``), so an explicit ``rng`` leaves both without a content
+Every run takes one path: no run bypasses the cache, so traced and
+untraced runs see the same entries, and a traced hit records a
+``plan.cache.hit`` span carrying the cached modeled time.  ``lower()``
+and ``run()`` resolve a cell the same way (``_prepare``) and share its
 key.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
@@ -31,9 +30,8 @@ from ..gpusim.profiler import ProfileReport
 from ..graph.csr import CSRGraph
 from ..graph.datasets import Dataset
 from ..identity import split_cell
-from ..lint import PlanLintError, lint_plan
 from ..obs.reqtrace import current_batch_context
-from ..obs.tracer import get_tracer, span
+from ..obs.tracer import span
 from ..plan import (
     ExecutionPlan,
     PlanCacheEntry,
@@ -91,7 +89,6 @@ class GNNSystem(ABC):
         spec: GPUSpec,
         *,
         dataset: Dataset | None,
-        rng: np.random.Generator,
     ) -> ExecutionPlan:
         """Lower the cell to this system's kernel pipeline (compile stage)."""
 
@@ -103,22 +100,21 @@ class GNNSystem(ABC):
     # ------------------------------------------------------------------
     def _prepare(
         self, model: str, data: CSRGraph | Dataset, X: np.ndarray,
-        spec: GPUSpec, *, rng: np.random.Generator | None, opt: str | None = None,
-    ) -> tuple[str, CSRGraph, Dataset | None, dict | None, str | None]:
+        spec: GPUSpec, *, opt: str = "off",
+    ) -> tuple[str, CSRGraph, Dataset | None, dict | None, str]:
         """Resolve one cell: ``(model, graph, dataset, tuned, key)``.
 
         ``tuned`` is the tuned-plan store's knob dict at ``opt="search"``.
         ``key`` is the plan-cache fingerprint, which carries the optimizer
-        context.  An explicit ``rng`` makes the cell content-unaddressable:
-        the key cannot capture caller-controlled randomness, so it is None.
+        context.
         """
         model = model.lower()
         if not self.supports(model):
             raise UnsupportedModelError(f"{self.name} does not implement {model}")
         graph, dataset = split_cell(data)
         self.check_capacity(graph, dataset)
-        # "off" means the pre-optimizer plan and deliberately shares the
-        # legacy opt=None fingerprint
+        # "off" is the pre-optimizer plan: its key carries no optimizer
+        # context
         opt_ctx = tuned = None
         if opt in ("safe", "search"):
             from ..opt import TUNER_VERSION, get_tuned_store, tuning_key
@@ -132,8 +128,6 @@ class GNNSystem(ABC):
                     tkey, system=self.name, model=model
                 )
             opt_ctx = {"level": opt, "tuner_version": TUNER_VERSION, "tuned": tuned}
-        if rng is not None:
-            return model, graph, dataset, tuned, None
         key = plan_fingerprint(
             system=self.name, model=model, graph=graph, X=X, spec=spec,
             knobs=self.plan_knobs(), dataset=dataset, opt=opt_ctx,
@@ -146,17 +140,10 @@ class GNNSystem(ABC):
         data: CSRGraph | Dataset,
         X: np.ndarray,
         spec: GPUSpec = V100,
-        *,
-        rng: np.random.Generator | None = None,
     ) -> ExecutionPlan:
         """Compile stage only: lower the cell without executing or costing."""
-        model, graph, dataset, _, key = self._prepare(
-            model, data, X, spec, rng=rng
-        )
-        plan = self._lower(
-            model, graph, X, spec,
-            dataset=dataset, rng=rng or np.random.default_rng(0),
-        )
+        model, graph, dataset, _, key = self._prepare(model, data, X, spec)
+        plan = self._lower(model, graph, X, spec, dataset=dataset)
         plan.fingerprint = key
         return plan
 
@@ -168,122 +155,80 @@ class GNNSystem(ABC):
         X: np.ndarray,
         spec: GPUSpec = V100,
         *,
-        rng: np.random.Generator | None = None,
-        lint: str | None = None,
-        opt: str | None = None,
+        opt: str = "off",
     ) -> SystemResult:
         """Execute the model's graph convolution and profile it.
 
-        ``lint`` gates execution on the static plan analyzer: ``"strict"``
-        raises :class:`~repro.lint.PlanLintError` on any error-severity
-        finding, ``"warn"`` emits the report as a warning; either mode
-        bypasses the plan cache (cache hits skip lowering, so there would
-        be no ops to analyze).
-
         ``opt`` selects the :mod:`repro.opt` pass-pipeline level applied
-        between lowering and execution — ``"off"`` (or None, the
-        default), ``"safe"``, or ``"search"``.  At ``"search"`` the
-        installed :class:`~repro.opt.TunedPlanStore` is consulted first:
-        a hit replays the persisted tuner decision instead of searching.
-        The optimizer context (level, tuner version, tuned knobs) is
-        part of the plan-cache fingerprint, so an untuned cached plan is
-        never served as a tuned one.
+        between lowering and execution — ``"off"`` (the default),
+        ``"safe"``, or ``"search"``.  At ``"search"`` the installed
+        :class:`~repro.opt.TunedPlanStore` is consulted first: a hit
+        replays the persisted tuner decision instead of searching.  The
+        optimizer context (level, tuner version, tuned knobs) is part of
+        the plan-cache fingerprint, so an untuned cached plan is never
+        served as a tuned one.
         """
-        if lint not in (None, "warn", "strict"):
-            raise ValueError(f"lint must be None, 'warn' or 'strict': {lint!r}")
         from ..opt import OPT_LEVELS, optimize_plan
 
-        if opt is not None and opt not in OPT_LEVELS:
+        if opt not in OPT_LEVELS:
             raise ValueError(f"opt must be one of {OPT_LEVELS}: {opt!r}")
         model, graph, dataset, tuned, key = self._prepare(
-            model, data, X, spec, rng=rng, opt=opt
+            model, data, X, spec, opt=opt
         )
-        cache = get_plan_cache()
-        # a tracer demands real execution, but the fingerprint itself
-        # stays valid
-        cacheable = (
-            key is not None
-            and cache is not None
-            and get_tracer() is None
-            and lint is None
-        )
-        if cacheable:
-            entry = cache.get(key, system=self.name, model=model)
-            if entry is not None:
-                report = ProfileReport(
-                    system=self.name,
-                    model=model,
-                    dataset=graph.name,
-                    timing=entry.timing,
-                    stats=entry.stats,
-                )
-                report.publish()
-                return SystemResult(
-                    output=entry.output.copy(),
-                    report=report,
-                    plan=replace(entry.info, cached=True),
-                )
-
-        rng = rng or np.random.default_rng(0)
         # request-level attribution: when run on behalf of a served batch
         # (the planner calls into run() during dispatch), tag the pipeline
-        # span with the batch / request ids it serves
+        # (or cache-hit) span with the batch / request ids it serves
         bctx = current_batch_context()
         req_tags = (
             {"batch": bctx.bid, "rids": list(bctx.rids)} if bctx else {}
         )
-        with span(
-            f"{self.name}.pipeline", model=model, graph=graph.name, **req_tags
-        ) as sp:
-            plan = self._lower(model, graph, X, spec, dataset=dataset, rng=rng)
-            plan.fingerprint = key
-            certificate = None
-            if opt in ("safe", "search"):
-                lowered = plan
-                plan, _opt_records = optimize_plan(
+        cache = get_plan_cache()
+        # "is not None": an empty cache is falsy (len 0)
+        entry = (
+            cache.get(key, system=self.name, model=model)
+            if cache is not None else None
+        )
+        if entry is not None:
+            with span(
+                "plan.cache.hit", system=self.name, model=model,
+                graph=graph.name, **req_tags,
+            ) as sp:
+                if sp is not None:
+                    sp.add_modeled(entry.timing.runtime_seconds)
+                output = entry.output.copy()
+            stats, timing = entry.stats, entry.timing
+            info = replace(entry.info, cached=True)
+        else:
+            with span(
+                f"{self.name}.pipeline", model=model, graph=graph.name,
+                **req_tags,
+            ) as sp:
+                plan = self._lower(model, graph, X, spec, dataset=dataset)
+                plan.fingerprint = key
+                plan, _ = optimize_plan(
                     plan, spec, level=opt, dataset=dataset, tuned=tuned
                 )
-                # every accepted rewrite passed the equivalence gate, so
-                # this end-to-end certificate always issues; it rides the
-                # cache entry alongside the fingerprint
-                from ..verify import certify_plans
-
-                certification = certify_plans(plan, lowered)
-                if certification.certificate is not None:
-                    certificate = certification.certificate.as_dict()
-            if lint is not None:
-                lint_report = lint_plan(plan, spec)
-                if lint == "strict" and lint_report.errors:
-                    raise PlanLintError(lint_report)
-                if lint_report.findings:
-                    warnings.warn(lint_report.render(), stacklevel=2)
-            output = execute_plan(plan)
-            if sp is not None:
-                sp.set(num_kernels=plan.num_kernels)
-        with span(f"{self.name}.costmodel", model=model) as sp:
-            pipeline, timing = model_plan(plan, spec)
-            if sp is not None:
-                sp.add_modeled(timing.runtime_seconds)
+                output = execute_plan(plan)
+                if sp is not None:
+                    sp.set(num_kernels=plan.num_kernels)
+            with span(f"{self.name}.costmodel", model=model) as sp:
+                stats, timing = model_plan(plan, spec)
+                if sp is not None:
+                    sp.add_modeled(timing.runtime_seconds)
+            info = plan.info()
+            if cache is not None:
+                cache.put(key, PlanCacheEntry(
+                    output=output.copy(), stats=stats, timing=timing, info=info,
+                ))
         report = ProfileReport(
             system=self.name,
             model=model,
             dataset=graph.name,
             timing=timing,
-            stats=pipeline,
+            stats=stats,
         )
         report.publish()
-        if cacheable:
-            cache.put(
-                key,
-                PlanCacheEntry(
-                    output=output.copy(),
-                    stats=pipeline,
-                    timing=timing,
-                    info=plan.info(),
-                    certificate=certificate,
-                ),
-            )
-        return SystemResult(output=output, report=report, plan=plan.info())
+        return SystemResult(output=output, report=report, plan=info)
 
     def check_capacity(self, graph: CSRGraph, dataset: Dataset | None) -> None:
         """Raise :class:`CapacityError` if the workload exceeds the system's

@@ -150,11 +150,11 @@ class DGLSystem(GNNSystem):
         )
 
     # ------------------------------------------------------------------
-    def _lower(self, model, graph, X, spec, *, dataset, rng):
+    def _lower(self, model, graph, X, spec, *, dataset):
         n, E, Fdim = graph.num_vertices, graph.num_edges, X.shape[1]
         nf = n * Fdim
         att_sec = -(-4 * n // 32)
-        mp_model = build_model(model, graph, X, rng=rng)
+        mp_model = build_model(model, graph, X)
         workload = mp_model.workload()
 
         ops: list[KernelOp] = []

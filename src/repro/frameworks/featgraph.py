@@ -54,8 +54,8 @@ class FeatGraphSystem(GNNSystem):
         return {**super().plan_knobs(), "warps_per_block": self.warps_per_block}
 
     # ------------------------------------------------------------------
-    def _lower(self, model, graph, X, spec, *, dataset, rng):
-        mp_model = build_model(model, graph, X, rng=rng)
+    def _lower(self, model, graph, X, spec, *, dataset):
+        mp_model = build_model(model, graph, X)
         workload = mp_model.workload()
         if mp_model.has_softmax:
             # The softmax normalization term expands to the unfused

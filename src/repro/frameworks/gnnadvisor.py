@@ -84,15 +84,13 @@ class GNNAdvisorSystem(GNNSystem):
             )
 
     # ------------------------------------------------------------------
-    def _lower(self, model, graph, X, spec, *, dataset, rng):
+    def _lower(self, model, graph, X, spec, *, dataset):
         with span("gnnadvisor.preprocess", graph=graph.name):
             reorder = degree_sort(graph)
 
         perm = reorder.perm
         Xp = np.ascontiguousarray(X[np.argsort(perm)])
-        workload = build_model(
-            model, reorder.graph, Xp, rng=rng
-        ).workload()
+        workload = build_model(model, reorder.graph, Xp).workload()
         # Feature renumbering (permute to the reordered id space) happens
         # once, outside the per-epoch kernel pipeline the tables compare.
         # The compute step undoes the permutation so outputs are

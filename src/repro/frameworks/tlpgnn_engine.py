@@ -90,8 +90,8 @@ class TLPGNNEngine(GNNSystem):
             ),
         )
 
-    def _lower(self, model, graph, X, spec, *, dataset, rng):
-        mp_model = build_model(model, graph, X, rng=rng)
+    def _lower(self, model, graph, X, spec, *, dataset):
+        mp_model = build_model(model, graph, X)
         workload = mp_model.workload()
         ops: list[KernelOp] = []
 

@@ -132,7 +132,6 @@ def estimate_kernel(
     theoretical_occupancy: float | None = None,
 ) -> KernelTiming:
     """Convert one kernel's counters + schedule into modeled time & metrics."""
-    stats.validate()
     makespan = schedule.makespan_cycles
     sm_seconds = makespan / spec.clock_hz
     bandwidth_seconds = stats.total_bytes / spec.mem_bandwidth_bytes_per_s

@@ -135,8 +135,12 @@ class KernelStats:
         req = self.total_requests
         return self.l1_total_sectors / req if req else 0.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """Internal consistency checks (used by tests and the profiler)."""
+        """Internal consistency checks.  Construction runs them, so every
+        instance (a ``dataclasses.replace`` copy included) has passed."""
         for f in (
             "load_sectors",
             "store_sectors",
@@ -176,7 +180,6 @@ class PipelineStats:
     preprocess_seconds: float = 0.0
 
     def add(self, stats: KernelStats) -> None:
-        stats.validate()
         self.kernels.append(stats)
 
     @property

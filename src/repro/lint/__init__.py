@@ -29,8 +29,9 @@ the declarative effect tables every kernel op carries:
   severity, summary, doc anchor) every analysis constructs through,
 * :mod:`~repro.lint.report` — severity-ranked findings and rendering.
 
-Entry points: :func:`lint_plan` (used by ``python -m repro lint`` and the
-``lint="strict"`` gate on :meth:`~repro.frameworks.base.GNNSystem.run`).
+Entry points: :func:`lint_plan` (used by ``python -m repro lint``,
+``repro plan --lint`` and the optimizer's gate around every rewrite);
+lint any system's plan with ``lint_plan(system.lower(...))``.
 
 Nothing in this package imports :mod:`repro.plan` — the plan IR imports
 the effect vocabulary from here, and ``lint_plan`` duck-types its plan.
@@ -79,7 +80,6 @@ from .registry import RULES, RuleInfo, explain, make_finding, rule_info
 from .report import (
     Finding,
     LintReport,
-    PlanLintError,
     finding_rows,
     severity_rank,
     sort_findings,
@@ -122,7 +122,6 @@ __all__ = [
     "VectorClockChecker",
     "Finding",
     "LintReport",
-    "PlanLintError",
     "access_findings",
     "conv_read_buffers",
     "cross_validate_access",

@@ -13,7 +13,6 @@ __all__ = [
     "SEVERITIES",
     "Finding",
     "LintReport",
-    "PlanLintError",
     "finding_rows",
     "severity_rank",
     "sort_findings",
@@ -112,11 +111,3 @@ class LintReport:
         lines = [head]
         lines.extend("  " + f.render() for f in self.findings)
         return "\n".join(lines)
-
-
-class PlanLintError(RuntimeError):
-    """Raised by the ``lint="strict"`` run gate on error-severity findings."""
-
-    def __init__(self, report: LintReport) -> None:
-        super().__init__(report.render())
-        self.report = report

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..plan.cache import get_plan_cache
 from .spec import (
     AttentionLogit,
     MessageSpec,
@@ -98,6 +99,7 @@ def register(name: str, builder: SpecBuilder, *, replace: bool = False) -> None:
     if not replace and key in _registry:
         raise ValueError(f"model {name!r} is already registered")
     _registry[key] = builder
+    _discard_cached_plans(key)
 
 
 def unregister(name: str) -> None:
@@ -106,6 +108,15 @@ def unregister(name: str) -> None:
     if key in BUILTIN_SPECS:
         raise ValueError(f"cannot unregister builtin model {name!r}")
     _registry.pop(key, None)
+    _discard_cached_plans(key)
+
+
+def _discard_cached_plans(key: str) -> None:
+    """The plan-cache key holds a model's name, not its spec: a name whose
+    spec changes drops its entries from the installed plan cache."""
+    cache = get_plan_cache()
+    if cache is not None:
+        cache.discard_model(key)
 
 
 def is_registered(name: str) -> bool:

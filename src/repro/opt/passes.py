@@ -159,9 +159,6 @@ class PassPipeline:
     """Ordered passes + the legality/profit gates around each rewrite."""
 
     passes: list[PlanPass] = field(default_factory=list)
-    #: re-lint every rewrite and raise on new errors (satellite contract);
-    #: only tests exploring deliberately-broken plans turn this off
-    verify: bool = True
 
     def run(
         self,
@@ -179,12 +176,12 @@ class PassPipeline:
         ctx = PassContext(
             spec=spec, dataset=dataset, budget=budget, seed=seed, tuned=tuned
         )
-        baseline_errors = error_keys(plan, spec) if self.verify else set()
+        baseline_errors = error_keys(plan, spec)
         # the translation-validation gate's anchor: every accepted rewrite
         # must keep the input plan's dataflow normal form (a baseline that
         # is itself unprovable — EQ001 on the *input* — is grandfathered,
         # matching the lint gate's baseline_errors suppression)
-        baseline_nf = normalize_plan(plan) if self.verify else None
+        baseline_nf = normalize_plan(plan)
         current = plan
         current_ms = modeled_runtime_s(current, spec) * 1e3
         records: list[PassRecord] = []
@@ -196,16 +193,15 @@ class PassPipeline:
                     PassRecord(p.name, False, current_ms, current_ms, "no match")
                 )
                 continue
-            if self.verify:
-                new = [
-                    f
-                    for f in lint_plan(rewritten, spec).errors
-                    if f.key() not in baseline_errors
-                ]
-                if new:
-                    raise IllegalRewriteError(p.name, rewritten, new)
+            new = [
+                f
+                for f in lint_plan(rewritten, spec).errors
+                if f.key() not in baseline_errors
+            ]
+            if new:
+                raise IllegalRewriteError(p.name, rewritten, new)
             eq_note = ""
-            if baseline_nf is not None and baseline_nf.provable:
+            if baseline_nf.provable:
                 decision = decide_equivalence(
                     baseline_nf, normalize_plan(rewritten)
                 )

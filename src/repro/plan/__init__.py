@@ -21,7 +21,8 @@ shared by all systems (and by :mod:`repro.multigpu` and
 Stages 2 and 3 are memoized in a bounded :class:`PlanCache` keyed by
 :func:`plan_fingerprint` — a content hash of graph + features + model +
 system knobs + device spec — so warm-cache serving skips re-analysis
-entirely.
+entirely.  Every ``GNNSystem.run`` goes through the cache, traced or
+not: the key is its only lookup rule.
 """
 
 from .analyzer import analyze_plan, cost_plan, model_plan, time_parts

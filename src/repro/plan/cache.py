@@ -20,10 +20,12 @@ one projection of the cell identity that :mod:`repro.identity` owns:
 * the dataset's full-size hints (they steer TLPGNN's hybrid heuristic).
 
 Invalidation rules: anything not in the key must not change results.
-Two run paths bypass the cache by construction (see
-``frameworks/base.py``): an explicit ``rng`` (caller-controlled attention
-parameters) and an installed tracer (span replay must observe the real
-execution, not a memoized one).
+No run path bypasses the cache: every ``GNNSystem.run`` consults it,
+traced or not (a traced hit records a ``plan.cache.hit`` span).  The key
+holds a model's *name*, not its spec, so re-registering a name
+(:func:`repro.mp.register` with ``replace=True``, or
+:func:`repro.mp.unregister`) drops that name's entries from the
+installed cache (:meth:`PlanCache.discard_model`).
 
 Hits and misses are published as ``plan_cache_hit`` / ``plan_cache_miss``
 counters into the installed :mod:`repro.obs.metrics` registry.
@@ -70,10 +72,11 @@ def plan_fingerprint(
     """Content sha256 identifying one lowered + analyzed cell.
 
     ``opt`` carries the optimizer context (level, tuner version, tuned
-    knob dict) of an ``opt=``-enabled run — part of the key so an
+    knob dict) of a ``"safe"``/``"search"`` run — part of the key so an
     untuned cached plan is never served as a tuned one and vice versa.
-    ``None`` (the pre-optimizer run path) is deliberately excluded from
-    the payload, keeping every historical fingerprint stable.
+    ``None`` (``opt="off"``, the pre-optimizer plan) is deliberately
+    excluded from the payload, keeping every historical fingerprint
+    stable.
     """
     payload = {
         "system": system,
@@ -95,11 +98,6 @@ class PlanCacheEntry:
     stats: PipelineStats
     timing: PipelineTiming
     info: PlanInfo
-    #: optimized-vs-lowered equivalence certificate (as_dict form) when
-    #: the entry was produced under an optimizer level; None for opt=off
-    #: runs — the certificate travels with the fingerprint so incremental
-    #: plan patches (ROADMAP item 3) stay per-plan auditable
-    certificate: dict | None = None
 
 
 class PlanCache:
@@ -139,6 +137,11 @@ class PlanCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.evictions += 1
+
+    def discard_model(self, model: str) -> None:
+        """Drop every entry of ``model`` (its spec changed under its name)."""
+        for key in [k for k, e in self._entries.items() if e.info.model == model]:
+            del self._entries[key]
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""

@@ -176,7 +176,7 @@ class ExecutionPlan:
     #: per-kernel framework dispatch cost (None = bare launches)
     dispatch_seconds: float | None = None
     #: content fingerprint (see :func:`repro.plan.cache.plan_fingerprint`);
-    #: None when the plan was lowered outside the cacheable path
+    #: None when the plan was built outside ``GNNSystem.lower``/``run``
     fingerprint: str | None = None
 
     @property

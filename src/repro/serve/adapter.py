@@ -91,7 +91,7 @@ class ServableModel:
         feat_dim: int = 32,
         spec: GPUSpec = V100,
         seed: int = 7,
-        opt: str | None = None,
+        opt: str = "off",
     ):
         model = model.lower()
         if not system.supports(model):
@@ -104,8 +104,8 @@ class ServableModel:
         self.graph, _ = split_cell(data)
         self.spec = spec
         self.seed = seed
-        #: optimizer level forwarded to every ``system.run`` call (None =
-        #: the pre-optimizer path); at "search" a warm deploy picks up
+        #: optimizer level forwarded to every ``system.run`` call ("off" =
+        #: the pre-optimizer plan); at "search" a warm deploy picks up
         #: persisted tuner decisions through the TunedPlanStore
         self.opt = opt
         self.X = make_features(self.graph.num_vertices, feat_dim, seed=seed)

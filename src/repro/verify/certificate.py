@@ -10,10 +10,11 @@ when given the live plan(s), re-normalizes them against the recorded
 digests so a *stale* certificate (the plan moved on) is as invalid as a
 tampered one.
 
-Certificates ride alongside :class:`~repro.opt.tuner.TunedPlanStore`
-entries and :class:`~repro.plan.cache.PlanCacheEntry` values; the
-``serve --certified`` preflight refuses tuned plans whose certificate
-does not verify.
+Certificates ride only on :class:`~repro.opt.tuner.TunedPlanStore`
+entries (the tuner certifies what it persists); the ``serve --certified``
+preflight refuses tuned plans whose certificate does not verify.  Plan
+cache entries carry none: every rewrite an optimized plan holds already
+passed the pass pipeline's equivalence gate, which raises on failure.
 """
 
 from __future__ import annotations

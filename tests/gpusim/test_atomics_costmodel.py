@@ -155,9 +155,8 @@ class TestEstimateKernel:
         assert unco.stall_scoreboard_cycles > co.stall_scoreboard_cycles
 
     def test_validation_runs(self):
-        bad = _stats(load_sectors=-1)
         with pytest.raises(ValueError):
-            estimate_kernel(bad, _sched(), V100)
+            _stats(load_sectors=-1)
 
 
 class TestPipeline:
@@ -218,6 +217,5 @@ class TestKernelStats:
         assert s.total_bytes == s.load_bytes
 
     def test_validation_catches_orphan_sectors(self):
-        s = _stats(store_sectors=5)
         with pytest.raises(ValueError, match="store sectors"):
-            s.validate()
+            _stats(store_sectors=5)

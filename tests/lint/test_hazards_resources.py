@@ -1,19 +1,12 @@
-"""Unit coverage of the hazard/resource/determinism rules on synthetic plans
-plus the ``lint=`` execution gate on ``GNNSystem.run``."""
+"""Unit coverage of the hazard/resource/determinism rules on synthetic
+plans."""
 
-import warnings
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
-from repro.frameworks.tlpgnn_engine import TLPGNNEngine
-from repro.graph.generators import power_law
 from repro.lint import (
     Finding,
     KernelAccess,
     LintReport,
-    PlanLintError,
     lint_plan,
     severity_rank,
     sort_findings,
@@ -160,55 +153,3 @@ def test_report_render_shapes():
     ))
     text = dirty.render()
     assert "1 error(s)" in text and "HAZ002 @ k" in text
-
-
-# ----------------------------------------------------------------------
-# the run(lint=...) gate
-# ----------------------------------------------------------------------
-_BAD = KernelEffects(
-    buffers=(BufferEffect("out", "write", exclusive=False),), launch=ENV
-)
-
-
-class _BrokenSystem(TLPGNNEngine):
-    """TLPGNN lowering with a deliberately race-declared conv op."""
-
-    name = "Broken"
-
-    def _lower(self, *args, **kwargs):
-        plan = super()._lower(*args, **kwargs)
-        plan.ops = [replace(op, effects=_BAD) for op in plan.ops]
-        return plan
-
-
-@pytest.fixture
-def cell():
-    g = power_law(30, 90, seed=3)
-    X = np.random.default_rng(4).standard_normal((30, 8)).astype(np.float32)
-    return g, X
-
-
-def test_run_lint_strict_raises_on_errors(cell):
-    g, X = cell
-    with pytest.raises(PlanLintError) as exc:
-        _BrokenSystem().run("gcn", g, X, lint="strict")
-    assert any(f.rule == "HAZ002" for f in exc.value.report.findings)
-
-
-def test_run_lint_warn_executes_and_warns(cell):
-    g, X = cell
-    with pytest.warns(UserWarning, match="HAZ002"):
-        res = _BrokenSystem().run("gcn", g, X, lint="warn")
-    assert res.output.shape == (30, 8)
-
-
-def test_run_lint_strict_passes_clean_system(cell):
-    g, X = cell
-    res = TLPGNNEngine().run("gcn", g, X, lint="strict")
-    assert res.output.shape == (30, 8)
-
-
-def test_run_lint_rejects_bad_mode(cell):
-    g, X = cell
-    with pytest.raises(ValueError, match="lint must be"):
-        TLPGNNEngine().run("gcn", g, X, lint="definitely")

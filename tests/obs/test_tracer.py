@@ -185,22 +185,34 @@ class TestRunSystemIntegration:
 
         from repro.bench import BenchConfig, get_dataset, make_features, run_system
         from repro.frameworks import SYSTEMS
+        from repro.plan import get_plan_cache
 
         config = BenchConfig(max_edges=60_000, seed=7)
         dataset = get_dataset("CR", config)
         X = make_features(dataset.graph.num_vertices, config.feat_dim, seed=7)
 
         off = run_system(SYSTEMS["TLPGNN"](), "gcn", dataset, config, X=X)
-        t = Tracer()
-        previous = set_tracer(t)
-        try:
-            on = run_system(SYSTEMS["TLPGNN"](), "gcn", dataset, config, X=X)
-        finally:
-            set_tracer(previous)
-        assert np.array_equal(off.output, on.output)
-        assert off.report.as_dict() == on.report.as_dict()
-        # and the traced run produced the expected span structure
-        names = [s.name for s in t.walk()]
+        get_plan_cache().clear()  # the first traced pass runs cold
+        cold, warm = Tracer(), Tracer()
+        runs = []
+        for t in (cold, warm):
+            previous = set_tracer(t)
+            try:
+                runs.append(
+                    run_system(SYSTEMS["TLPGNN"](), "gcn", dataset, config, X=X)
+                )
+            finally:
+                set_tracer(previous)
+        for on in runs:
+            assert np.array_equal(off.output, on.output)
+            assert off.report.as_dict() == on.report.as_dict()
+        # the cold traced run produced the expected span structure
+        names = [s.name for s in cold.walk()]
         assert "bench.run_system" in names
         assert "TLPGNN.pipeline" in names
         assert "kernel.run" in names and "kernel.analyze" in names
+        # and the warm traced run hit the cache the cold one filled
+        assert runs[1].plan.cached
+        assert [s.name for s in warm.walk()] == [
+            "bench.run_system", "plan.cache.hit",
+        ]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.frameworks import SYSTEMS, TLPGNNEngine
 from repro.graph import erdos_renyi
+from repro.mp import MessageSpec, ReduceSpec, register, unregister
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.tracer import Tracer, set_tracer
 from repro.plan import (
@@ -70,29 +71,33 @@ class TestWarmHitTransparency:
         assert by_name["plan_cache_miss"] == 1.0
         assert by_name["plan_cache_hit"] == 1.0
 
+    def test_traced_warm_run_hits(self, small_random):
+        """Traced and untraced runs see one cache: a traced warm run
+        returns the untraced bytes and records one hit span."""
+        X = _features(small_random)
+        cold = TLPGNNEngine().run("gcn", small_random, X)
+        registry, tracer = MetricsRegistry(), Tracer()
+        prev_registry, prev_tracer = set_registry(registry), set_tracer(tracer)
+        try:
+            warm = TLPGNNEngine().run("gcn", small_random, X)
+        finally:
+            set_registry(prev_registry)
+            set_tracer(prev_tracer)
+        np.testing.assert_array_equal(cold.output, warm.output)
+        assert cold.report.as_dict() == warm.report.as_dict()
+        assert warm.plan is not None and warm.plan.cached
+        counts = {
+            rec["name"]: rec["value"]
+            for rec in registry.snapshot()
+            if rec["name"].startswith("plan_cache")
+        }
+        assert counts == {"plan_cache_hit": 1.0}
+        [hit] = tracer.walk()
+        assert hit.name == "plan.cache.hit"
+        assert hit.modeled_seconds == warm.report.timing.runtime_seconds
+
 
 class TestCacheBypass:
-    def test_explicit_rng_bypasses_cache(self, small_random):
-        X = _features(small_random)
-        cache = get_plan_cache()
-        system = TLPGNNEngine()
-        system.run("gcn", small_random, X, rng=np.random.default_rng(1))
-        system.run("gcn", small_random, X, rng=np.random.default_rng(1))
-        assert cache.hits == 0 and cache.misses == 0 and len(cache) == 0
-
-    def test_installed_tracer_bypasses_cache(self, small_random):
-        X = _features(small_random)
-        cache = get_plan_cache()
-        system = TLPGNNEngine()
-        system.run("gcn", small_random, X)  # prime the cache
-        previous = set_tracer(Tracer())
-        try:
-            res = system.run("gcn", small_random, X)
-        finally:
-            set_tracer(previous)
-        assert cache.hits == 0  # the traced run did not consult the cache
-        assert res.plan is not None and not res.plan.cached
-
     def test_disabled_cache_still_runs(self, small_random):
         X = _features(small_random)
         previous = set_plan_cache(None)
@@ -117,6 +122,37 @@ class TestKeySensitivity:
         TLPGNNEngine().run("gcn", small_random, _features(small_random, seed=0))
         TLPGNNEngine().run("gcn", small_random, _features(small_random, seed=1))
         assert cache.hits == 0 and cache.misses == 2
+
+
+class TestReRegistration:
+    def test_reregistered_model_is_not_served_stale_plans(self, small_random):
+        """The key holds the model's name, so a spec re-registered under
+        it must drop that name's entries (and only those): the max run
+        is computed, not the cached sum."""
+        X = _features(small_random)
+        cache = get_plan_cache()
+        TLPGNNEngine().run("gcn", small_random, X)
+        register("stale", lambda: (MessageSpec(), ReduceSpec(op="sum")))
+        try:
+            summed = TLPGNNEngine().run("stale", small_random, X)
+            register(
+                "stale", lambda: (MessageSpec(), ReduceSpec(op="max")),
+                replace=True,
+            )
+            maxed = TLPGNNEngine().run("stale", small_random, X)
+            previous = set_plan_cache(PlanCache())
+            try:
+                fresh = TLPGNNEngine().run("stale", small_random, X)
+            finally:
+                set_plan_cache(previous)
+        finally:
+            unregister("stale")
+        assert not maxed.plan.cached
+        assert not np.array_equal(maxed.output, summed.output)
+        np.testing.assert_array_equal(maxed.output, fresh.output)
+        # unregister dropped the max entry; gcn's survived both
+        assert len(cache) == 1
+        assert TLPGNNEngine().run("gcn", small_random, X).plan.cached
 
 
 class TestEviction:

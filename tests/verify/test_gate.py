@@ -76,17 +76,6 @@ class TestEquivalenceGate:
             pipe.run(plan, spec, dataset=ds)
         assert any(f.rule == "EQ002" for f in exc.value.findings)
 
-    def test_gate_off_lets_the_broken_rewrite_through(self, tlpgnn_plan):
-        """verify=False is the test-only escape hatch — the broken plan
-        flows through (and would compute the wrong thing)."""
-        plan, spec, ds = tlpgnn_plan
-        pipe = PassPipeline(passes=[_DoubleFeatures()], verify=False)
-        out, records = pipe.run(plan, spec, dataset=ds)
-        applied = [r for r in records if r.applied]
-        # profit gate may still skip it; if applied, it is the broken plan
-        if applied:
-            assert out is not plan
-
     def test_identity_pipeline_is_gate_clean(self, tlpgnn_plan):
         plan, spec, ds = tlpgnn_plan
         from repro.opt import optimize_plan
