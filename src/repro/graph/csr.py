@@ -19,6 +19,11 @@ from ..identity import array_digest
 
 __all__ = ["CSRGraph", "from_edge_list", "from_scipy"]
 
+#: largest vertex count :func:`from_edge_list` accepts: its sort key
+#: ``dst * num_vertices + src`` reaches ``num_vertices**2 - 1``, which fits
+#: int64 up to ``isqrt(2**63 - 1)``
+MAX_VERTICES = 3_037_000_499
+
 
 @dataclass(frozen=True)
 class CSRGraph:
@@ -188,6 +193,38 @@ class CSRGraph:
             lut[src[keep]], lut[dst[keep]], len(vertices), name=f"{self.name}_sub"
         )
 
+    def induced_in_edges(
+        self, targets: np.ndarray, *, name: str
+    ) -> tuple["CSRGraph", np.ndarray]:
+        """The in-edges of ``targets``, over the vertices they touch.
+
+        Keeps every edge ``u -> t`` with ``t`` among the deduplicated
+        ``targets``.  ``vertices`` is targets ∪ their sources in ascending
+        id order, and vertex ``vertices[i]`` becomes ``i``.  Returns
+        ``(subgraph, vertices)``; an id outside ``[0, num_vertices)`` raises
+        ``ValueError``.
+        """
+        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        bad = targets[(targets < 0) | (targets >= self.num_vertices)]
+        if bad.size:
+            raise ValueError(
+                f"target ids {bad.tolist()} outside [0, {self.num_vertices})"
+            )
+        starts = self.indptr[targets]
+        counts = self.indptr[targets + 1] - starts
+        # CSR row gather without a Python loop over targets
+        offsets = np.cumsum(counts) - counts
+        rows = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+        src = self.indices[rows]
+        vertices = np.union1d(targets, src)
+        sub = from_edge_list(
+            np.searchsorted(vertices, src),
+            np.repeat(np.searchsorted(vertices, targets), counts),
+            vertices.size,
+            name=name,
+        )
+        return sub, vertices
+
     def stats(self) -> dict:
         """Summary statistics used by Table 4 and the hybrid heuristic."""
         deg = self.in_degrees
@@ -215,7 +252,17 @@ def from_edge_list(
     name: str = "graph",
     dedup: bool = False,
 ) -> CSRGraph:
-    """Build an in-neighbour CSR graph from parallel ``src``/``dst`` arrays."""
+    """Build an in-neighbour CSR graph from parallel ``src``/``dst`` arrays.
+
+    One sort of the int64 key ``dst * num_vertices + src`` puts the edges
+    in (dst, src) order.  Equal keys are equal edges, so the arrays do not
+    depend on the sort algorithm; ``dedup`` keeps one copy of each edge.
+    """
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(
+            f"num_vertices {num_vertices} exceeds {MAX_VERTICES}: the "
+            "(dst, src) sort key would overflow int64"
+        )
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
@@ -224,16 +271,20 @@ def from_edge_list(
         min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_vertices
     ):
         raise ValueError("edge endpoints out of range")
-    if dedup and len(src):
-        key = dst * num_vertices + src
-        _, first = np.unique(key, return_index=True)
-        src, dst = src[first], dst[first]
-    order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
+    key = dst * num_vertices + src
+    if dedup:
+        key = np.unique(key)
+        dst = key // num_vertices
+    else:
+        key = np.sort(key)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.add.at(indptr, dst + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRGraph(indptr=indptr, indices=src, num_vertices=num_vertices, name=name)
+    np.cumsum(np.bincount(dst, minlength=num_vertices), out=indptr[1:])
+    return CSRGraph(
+        indptr=indptr,
+        indices=key % num_vertices,
+        num_vertices=num_vertices,
+        name=name,
+    )
 
 
 def from_scipy(mat: sp.spmatrix, *, name: str = "graph") -> CSRGraph:

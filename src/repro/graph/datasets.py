@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators
-from .csr import CSRGraph
+from .csr import CSRGraph, from_edge_list
 
 __all__ = [
     "DatasetSpec",
@@ -197,19 +197,16 @@ def load_dataset(
             seed=rng, name=abbr,
         )
     elif spec.family == "regular_ish":
-        # OA-like: narrow degree distribution — mix of regular and uniform.
-        base = int(spec.avg_degree * 0.7)
-        reg = generators.regular(n, max(base, 1), seed=rng, name=abbr)
-        extra = m - reg.num_edges
-        if extra > 0:
-            er = generators.erdos_renyi(n, extra, seed=rng, name=abbr)
-            src = np.concatenate([reg.edge_list()[0], er.edge_list()[0]])
-            dst = np.concatenate([reg.edge_list()[1], er.edge_list()[1]])
-            from .csr import from_edge_list
-
-            graph = from_edge_list(src, dst, n, name=abbr)
-        else:
-            graph = reg
+        # OA-like: narrow degree distribution — a regular part plus uniform
+        # extra edges, drawn as edge arrays and built into one CSR.
+        src, dst = generators.regular_edges(
+            n, max(int(spec.avg_degree * 0.7), 1), seed=rng
+        )
+        if m > src.size:
+            er_src, er_dst = generators.erdos_renyi_edges(n, m - src.size, seed=rng)
+            src = np.concatenate([src, er_src])
+            dst = np.concatenate([dst, er_dst])
+        graph = from_edge_list(src, dst, n, name=abbr)
     else:
         graph = generators.erdos_renyi(n, m, seed=rng, name=abbr)
     return Dataset(graph=graph, spec=spec, scale=scale)

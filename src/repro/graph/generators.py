@@ -16,9 +16,11 @@ __all__ = [
     "rng_from",
     "make_features",
     "erdos_renyi",
+    "erdos_renyi_edges",
     "power_law",
     "rmat",
     "regular",
+    "regular_edges",
     "star",
     "chain",
     "complete",
@@ -54,6 +56,25 @@ def make_features(n: int, feat_dim: int, *, seed: int = 0) -> np.ndarray:
     return rng_from(seed).standard_normal((n, feat_dim), dtype=np.float32)
 
 
+def erdos_renyi_edges(
+    num_vertices: int,
+    num_edges: int,
+    *,
+    seed: int | np.random.Generator | None = 0,
+    allow_self_loops: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(src, dst)`` arrays of :func:`erdos_renyi`, before the CSR."""
+    rng = _rng(seed)
+    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
+    dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
+    if not allow_self_loops and num_vertices > 1:
+        loops = src == dst
+        # Rotate self-loop targets by one; keeps |E| fixed and stays uniform
+        # enough for our purposes.
+        dst[loops] = (dst[loops] + 1) % num_vertices
+    return src, dst
+
+
 def erdos_renyi(
     num_vertices: int,
     num_edges: int,
@@ -63,14 +84,9 @@ def erdos_renyi(
     name: str = "erdos_renyi",
 ) -> CSRGraph:
     """Uniform random directed multigraph with exactly ``num_edges`` edges."""
-    rng = _rng(seed)
-    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    if not allow_self_loops and num_vertices > 1:
-        loops = src == dst
-        # Rotate self-loop targets by one; keeps |E| fixed and stays uniform
-        # enough for our purposes.
-        dst[loops] = (dst[loops] + 1) % num_vertices
+    src, dst = erdos_renyi_edges(
+        num_vertices, num_edges, seed=seed, allow_self_loops=allow_self_loops
+    )
     return from_edge_list(src, dst, num_vertices, name=name)
 
 
@@ -155,6 +171,22 @@ def rmat(
     return from_edge_list(src, dst, n, name=name)
 
 
+def regular_edges(
+    num_vertices: int,
+    degree: int,
+    *,
+    seed: int | np.random.Generator | None = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(src, dst)`` arrays of :func:`regular`, before the CSR."""
+    rng = _rng(seed)
+    dst = np.repeat(np.arange(num_vertices, dtype=np.int64), degree)
+    src = rng.integers(0, num_vertices, size=num_vertices * degree, dtype=np.int64)
+    if num_vertices > 1:
+        loops = src == dst
+        src[loops] = (src[loops] + 1) % num_vertices
+    return src, dst
+
+
 def regular(
     num_vertices: int,
     degree: int,
@@ -163,12 +195,7 @@ def regular(
     name: str = "regular",
 ) -> CSRGraph:
     """Every vertex has exactly ``degree`` in-neighbours (random sources)."""
-    rng = _rng(seed)
-    dst = np.repeat(np.arange(num_vertices, dtype=np.int64), degree)
-    src = rng.integers(0, num_vertices, size=num_vertices * degree, dtype=np.int64)
-    if num_vertices > 1:
-        loops = src == dst
-        src[loops] = (src[loops] + 1) % num_vertices
+    src, dst = regular_edges(num_vertices, degree, seed=seed)
     return from_edge_list(src, dst, num_vertices, name=name)
 
 

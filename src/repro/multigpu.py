@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph.csr import CSRGraph, from_edge_list
+from .graph.csr import CSRGraph
 from .graph.partition import Partition, partition_kway
 from .gpusim.config import V100, GPUSpec
 from .kernels.tlpgnn import TLPGNNKernel
@@ -116,23 +116,15 @@ def distribute_conv(
         raise ValueError("partition.k must equal num_devices")
     kernel = kernel or TLPGNNKernel()
 
-    src_all, dst_all = graph.edge_list()
     scaled = X * src_scale[:, None]
     out = np.zeros_like(X)
     shards: list[DeviceShard] = []
     halo_bytes = 0
     for dev in range(num_devices):
         local = partition.part_vertices(dev)
-        mask = partition.assignment[dst_all] == dev
-        src, dst = src_all[mask], dst_all[mask]
-        halo = np.unique(src[partition.assignment[src] != dev])
+        local_graph, vertices = graph.induced_in_edges(local, name=f"dev{dev}")
+        halo = np.setdiff1d(vertices, local, assume_unique=True)
         halo_bytes += int(halo.size) * X.shape[1] * 4
-        vertices = np.unique(np.concatenate([local, halo]))
-        lut = np.full(n, -1, dtype=np.int64)
-        lut[vertices] = np.arange(vertices.size)
-        local_graph = from_edge_list(
-            lut[src], lut[dst], vertices.size, name=f"dev{dev}"
-        )
         workload = ConvWorkload(
             graph=local_graph,
             X=np.ascontiguousarray(scaled[vertices]),
@@ -146,8 +138,7 @@ def distribute_conv(
         )
         shard_out = execute_plan(plan)
         _pipeline, timing = model_plan(plan, spec)
-        mine = lut[local]
-        out[local] += shard_out[mine]
+        out[local] += shard_out[np.searchsorted(vertices, local)]
         shards.append(
             DeviceShard(
                 device=dev,

@@ -26,9 +26,10 @@ Batch semantics
   batcher exists to exploit).  The B=1 pipeline is profiled once and
   cached; planning a batch is then O(#kernels).
 * ``job="targets"`` — the batch's target sets are unioned, the union's
-  in-edge subgraph is extracted (same LUT-relabel pattern as
-  :func:`repro.multigpu.distribute_conv`), and the system is profiled on
-  that subgraph, so batch cost grows sublinearly when targets overlap.
+  in-edge subgraph is extracted (:meth:`~repro.graph.csr.CSRGraph.
+  induced_in_edges`, as :func:`repro.multigpu.distribute_conv` does per
+  device), and the system is profiled on that subgraph, so batch cost
+  grows sublinearly when targets overlap.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ..frameworks.base import GNNSystem, UnsupportedModelError
-from ..graph.csr import CSRGraph, from_edge_list
+from ..graph.csr import CSRGraph
 from ..graph.datasets import Dataset
 from ..graph.generators import make_features
 from ..gpusim.config import V100, GPUSpec
@@ -145,33 +146,12 @@ class ServableModel:
         job = jobs.pop()
         if job == "full":
             return plan_from_timing(self.offline_timing, scale=float(len(batch)))
-        targets = np.unique(
-            np.concatenate([np.asarray(r.targets, dtype=np.int64) for r in batch])
+        sub, vertices = self.graph.induced_in_edges(
+            np.concatenate([np.asarray(r.targets, dtype=np.int64) for r in batch]),
+            name=f"{self.graph.name}_serve",
         )
-        sub, X_sub = self._target_subgraph(targets)
         result = self.system.run(
-            self.model, sub, X_sub, self.spec, opt=self.opt
+            self.model, sub, np.ascontiguousarray(self.X[vertices]), self.spec,
+            opt=self.opt,
         )
         return plan_from_timing(result.report.timing)
-
-    def _target_subgraph(
-        self, targets: np.ndarray
-    ) -> tuple[CSRGraph, np.ndarray]:
-        """In-edge subgraph of ``targets``: every edge u→t with t a target,
-        over the vertex set targets ∪ sources (LUT-relabelled)."""
-        indptr, indices = self.graph.indptr, self.graph.indices
-        starts = indptr[targets]
-        counts = indptr[targets + 1] - starts
-        total = int(counts.sum())
-        # CSR row gather without a Python loop over targets
-        offsets = np.repeat(counts.cumsum() - counts, counts)
-        flat = np.repeat(starts, counts) + (np.arange(total) - offsets)
-        src = indices[flat]
-        dst = np.repeat(targets, counts)
-        vertices = np.unique(np.concatenate([targets, src]))
-        lut = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        lut[vertices] = np.arange(vertices.size)
-        sub = from_edge_list(
-            lut[src], lut[dst], vertices.size, name=f"{self.graph.name}_serve"
-        )
-        return sub, np.ascontiguousarray(self.X[vertices])

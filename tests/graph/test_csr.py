@@ -6,7 +6,40 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CSRGraph, from_edge_list, from_scipy
+from repro.graph import CSRGraph, from_edge_list, from_scipy, load_dataset
+
+
+def _lexsort_csr(src, dst, num_vertices, *, dedup=False):
+    """The two-key lexsort construction ``from_edge_list`` replaced, kept
+    as its oracle: ``(indptr, indices)``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if dedup and len(src):
+        key = dst * num_vertices + src
+        _, first = np.unique(key, return_index=True)
+        src, dst = src[first], dst[first]
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.add.at(indptr, dst + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, src
+
+
+def _lut_restriction(graph, targets):
+    """The LUT-relabel restriction ``induced_in_edges`` replaced, over the
+    lexsort oracle: ``(indptr, indices, vertices)``."""
+    targets = np.unique(np.asarray(targets, dtype=np.int64))
+    starts = graph.indptr[targets]
+    counts = graph.indptr[targets + 1] - starts
+    offsets = np.repeat(counts.cumsum() - counts, counts)
+    flat = np.repeat(starts, counts) + (np.arange(int(counts.sum())) - offsets)
+    src = graph.indices[flat]
+    dst = np.repeat(targets, counts)
+    vertices = np.unique(np.concatenate([targets, src]))
+    lut = np.full(graph.num_vertices, -1, dtype=np.int64)
+    lut[vertices] = np.arange(vertices.size)
+    return (*_lexsort_csr(lut[src], lut[dst], vertices.size), vertices)
 
 
 class TestConstruction:
@@ -48,6 +81,12 @@ class TestConstruction:
     def test_negative_vertex_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             from_edge_list([-1], [0], 2)
+
+    def test_vertex_count_past_the_int64_key_rejected(self):
+        # raised before anything is allocated: an indptr this long would
+        # take 24 GB
+        with pytest.raises(ValueError, match="overflow int64"):
+            from_edge_list([0], [0], 3_037_000_500)
 
 
 class TestValidation:
@@ -166,6 +205,40 @@ class TestPermuteSubgraph:
         # edges among {0,1,2}: 1->0, 2->0, 0->1, 2->1 (3->* dropped)
         assert sub.num_edges == 4
 
+    def test_induced_in_edges(self, tiny_graph):
+        # in-edges of vertex 1 (0->1, 2->1) and of vertex 2 (3->2), over
+        # {0, 1, 2, 3}; duplicated targets count once
+        sub, vertices = tiny_graph.induced_in_edges([2, 1, 2], name="t")
+        assert vertices.tolist() == [0, 1, 2, 3]
+        assert sub.name == "t"
+        assert sub.indptr.tolist() == [0, 0, 2, 3, 3]
+        assert sub.indices.tolist() == [0, 2, 3]
+        # a target without in-edges keeps only itself
+        sub, vertices = tiny_graph.induced_in_edges([3], name="t")
+        assert vertices.tolist() == [3] and sub.num_edges == 0
+
+    @pytest.mark.parametrize("bad", [-1, -3, 4])
+    def test_induced_in_edges_rejects_out_of_range(self, tiny_graph, bad):
+        with pytest.raises(ValueError, match=rf"target ids \[{bad}\]"):
+            tiny_graph.induced_in_edges([bad, 1], name="t")
+
+    @pytest.mark.parametrize("abbr", ["CR", "PD", "OA"])
+    def test_induced_in_edges_matches_lut_restriction(self, abbr):
+        graph = load_dataset(abbr, max_edges=60_000).graph
+        n = graph.num_vertices
+        rng = np.random.default_rng(11)
+        target_sets = [
+            np.arange(n),
+            *(rng.integers(0, n, size) for size in (1, 3, 40, 700, n // 2)),
+        ]
+        for targets in target_sets:
+            sub, vertices = graph.induced_in_edges(targets, name="sub")
+            indptr, indices, expected = _lut_restriction(graph, targets)
+            oracle = CSRGraph(indptr, indices, expected.size)
+            assert sub.fingerprint() == oracle.fingerprint()
+            assert np.array_equal(vertices, expected)
+            assert vertices.dtype == np.int64
+
     def test_stats_keys(self, small_random):
         s = small_random.stats()
         assert s["num_edges"] == small_random.num_edges
@@ -210,3 +283,26 @@ def test_from_edge_list_property(edges):
     got = sorted(zip(g.edge_list()[0].tolist(), g.edge_list()[1].tolist(), strict=True))
     assert got == sorted(zip(src, dst, strict=True))
     assert np.all(np.diff(g.indptr) >= 0)
+
+
+@st.composite
+def _edge_lists(draw):
+    """``(num_vertices, edges)``: ids come from a small pool, so duplicate
+    edges and self loops are common; the list may be empty."""
+    n = draw(st.integers(1, 64))
+    pool = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    return n, draw(st.lists(st.tuples(pool, pool), max_size=200))
+
+
+@given(case=_edge_lists(), dedup=st.booleans())
+@settings(deadline=None)
+def test_keyed_sort_matches_lexsort_oracle(case, dedup):
+    """The keyed sort builds the lexsort construction's arrays, dtype included."""
+    n, edges = case
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    g = from_edge_list(src, dst, n, dedup=dedup)
+    indptr, indices = _lexsort_csr(src, dst, n, dedup=dedup)
+    assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)

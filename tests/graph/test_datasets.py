@@ -9,8 +9,10 @@ from repro.graph import (
     FIG8_SEVEN,
     LARGE_FOUR,
     default_scale,
+    from_edge_list,
     load_dataset,
 )
+from repro.graph import datasets, generators
 
 
 class TestRegistry:
@@ -92,3 +94,16 @@ class TestScaling:
         oa = load_dataset("OA")
         cv = oa.graph.in_degrees.std() / oa.graph.avg_degree
         assert cv < 1.0  # narrow distribution
+
+    @pytest.mark.parametrize("abbr", DATASET_ORDER)
+    def test_one_csr_per_load(self, abbr, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[2])
+            return from_edge_list(*args, **kwargs)
+
+        for module in (datasets, generators):
+            monkeypatch.setattr(module, "from_edge_list", counting)
+        graph = load_dataset(abbr, max_edges=60_000).graph
+        assert built == [graph.num_vertices]

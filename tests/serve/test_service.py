@@ -7,7 +7,7 @@ from repro.bench import BenchConfig, get_dataset, make_features, run_system
 from repro.frameworks import SYSTEMS
 from repro.frameworks.base import UnsupportedModelError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import ServableModel, ServeConfig, serve_trace
+from repro.serve import Request, ServableModel, ServeConfig, serve_trace
 
 CONFIG = BenchConfig(feat_dim=16, max_edges=60_000, seed=7)
 
@@ -95,6 +95,16 @@ class TestBatching:
         plan = model.plan(requests[:4])
         full_gpu = model.offline_timing.gpu_seconds
         assert sum(k.alone_seconds for k in plan) < full_gpu
+
+    @pytest.mark.parametrize("targets", [(-3, 5), (-1,), (2700,)])
+    def test_out_of_range_target_rejected(self, targets):
+        # a negative id used to index indptr from the end: (-3, 5) was
+        # costed over the in-edges of vertex n-2 with the features of n-3
+        model = servable("TLPGNN", abbr="CR")
+        assert model.graph.num_vertices == 2700
+        request = Request(rid=0, arrival_s=0.0, job="targets", targets=targets)
+        with pytest.raises(ValueError, match=rf"target ids \[{targets[0]}\]"):
+            model.plan([request])
 
     def test_two_streams_help_under_load(self):
         model = servable("TLPGNN")

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.graph import erdos_renyi, partition_kway
+from repro.graph import CSRGraph, erdos_renyi, load_dataset, partition_kway
+from repro.kernels.tlpgnn import TLPGNNKernel
 from repro.models import build_conv, reference_aggregate
 from repro.models.convspec import ConvWorkload
 from repro.multigpu import distribute_conv
+from repro.plan import execute_plan, plan_for_kernel
+
+from .graph.test_csr import _lexsort_csr
 
 
 @pytest.fixture
@@ -151,3 +155,57 @@ class TestHaloExchange:
         )
         assert res.conv_seconds == direct.timing.gpu_seconds
         assert res.total_seconds == res.conv_seconds  # no exchange term
+
+
+def _masked_shards(graph, X, part, src_scale, dst_scale):
+    """The construction ``distribute_conv`` used before it restricted per
+    device: mask the whole edge list, LUT-relabel, lexsort-oracle CSR, the
+    same per-device plan.  ``(local graphs, halos, output)``."""
+    src_all, dst_all = graph.edge_list()
+    scaled = X * src_scale[:, None]
+    out = np.zeros_like(X)
+    graphs, halos = [], []
+    for dev in range(part.k):
+        local = part.part_vertices(dev)
+        mask = part.assignment[dst_all] == dev
+        src, dst = src_all[mask], dst_all[mask]
+        halo = np.unique(src[part.assignment[src] != dev])
+        vertices = np.unique(np.concatenate([local, halo]))
+        lut = np.full(graph.num_vertices, -1, dtype=np.int64)
+        lut[vertices] = np.arange(vertices.size)
+        local_graph = CSRGraph(
+            *_lexsort_csr(lut[src], lut[dst], vertices.size), vertices.size
+        )
+        workload = ConvWorkload(
+            graph=local_graph,
+            X=np.ascontiguousarray(scaled[vertices]),
+            reduce="sum",
+        )
+        plan = plan_for_kernel(
+            TLPGNNKernel(), workload, system="multigpu",
+            pipeline_name=f"multigpu_dev{dev}",
+        )
+        out[local] += execute_plan(plan)[lut[local]]
+        graphs.append(local_graph)
+        halos.append(halo)
+    return graphs, halos, out * dst_scale[:, None]
+
+
+@pytest.mark.parametrize(
+    ("abbr", "k"), [(None, 2), (None, 3), ("CR", 4), ("PD", 3)]
+)
+def test_shards_equal_the_masked_construction(abbr, k, rng):
+    g = erdos_renyi(200, 1400, seed=2) if abbr is None else (
+        load_dataset(abbr, max_edges=60_000).graph
+    )
+    X = rng.standard_normal((g.num_vertices, 16), dtype=np.float32)
+    inv = (1.0 / np.sqrt(g.in_degrees + 1.0)).astype(np.float32)
+    part = partition_kway(g, k, seed=1)
+    res = distribute_conv(g, X, k, src_scale=inv, dst_scale=inv, partition=part)
+    graphs, halos, out = _masked_shards(g, X, part, inv, inv)
+    for shard, graph, halo in zip(res.shards, graphs, halos, strict=True):
+        assert shard.local_graph.fingerprint() == graph.fingerprint()
+        assert shard.halo_vertices.dtype == halo.dtype
+        assert np.array_equal(shard.halo_vertices, halo)
+    assert res.halo_bytes == sum(h.size for h in halos) * 16 * 4
+    assert res.output.tobytes() == out.tobytes()
