@@ -11,14 +11,9 @@ the paper's thresholds come from.
 
 import numpy as np
 
-from repro.balance import (
-    choose_assignment,
-    hardware_assignment,
-    simulate_task_pool,
-    software_assignment,
-)
+from repro.balance import choose_assignment, hardware_assignment, software_assignment
 from repro.bench import BenchConfig, get_dataset, make_features
-from repro.gpusim import V100, warp_cycles
+from repro.gpusim import V100, place, warp_cycles
 from repro.kernels import TLPGNNKernel
 from repro.models import build_conv
 
@@ -59,21 +54,24 @@ def main() -> None:
         policy = choose_assignment(ds.full_num_vertices, ds.full_avg_degree)
         print(f"  heuristic verdict for the full-size workload: {policy}\n")
 
-    # Algorithm 1, literally: watch a small pool drain
+    # Algorithm 1: the next chunk of `step` vertices goes to whichever warp's
+    # atomicAdd lands first, paying one fetch per pull — watch a small pool
     print("=== Algorithm 1 on a toy pool (24 vertices, 4 warps, step 4) ===")
     rng = np.random.default_rng(0)
     costs = warp_cycles(
         V100, instructions=rng.integers(5, 50, 24), requests=4.0, sectors=8.0
     )
-    trace = simulate_task_pool(costs, num_warps=4, step=4, fetch_cost=10.0)
+    step = 4
+    chunks = place(costs.reshape(-1, step).sum(axis=1), 4, per_task_overhead=10.0)
+    owner = np.repeat(chunks.worker, step)
     for w in range(4):
-        mine = np.flatnonzero(trace.owner == w)
+        pulled = chunks.worker == w
         print(
-            f"  warp {w}: vertices {mine.tolist()} "
-            f"({trace.chunks_pulled[w]} pulls, "
-            f"finished at {trace.finish_cycles[w]:.0f} cycles)"
+            f"  warp {w}: vertices {np.flatnonzero(owner == w).tolist()} "
+            f"({pulled.sum()} pulls, "
+            f"finished at {chunks.end[pulled].max(initial=0.0):.0f} cycles)"
         )
-    print(f"  makespan: {trace.makespan:.0f} cycles")
+    print(f"  makespan: {chunks.end.max():.0f} cycles")
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def main() -> None:
     )
     print(report.summary())
     assert report.completed > 0 and report.arrived == (
-        report.admitted + report.shed
+        report.admitted + report.shed + report.refused
     )
     unregister(MODEL)
     print("custom conv: registered -> linted -> optimized -> tuned -> served")

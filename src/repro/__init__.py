@@ -14,9 +14,10 @@ models      GCN / GIN / GraphSAGE / GAT conv semantics and layers.
 frameworks  System baselines: DGL-like, GNNAdvisor-like, FeatGraph-like,
             and the TLPGNN engine.
 bench       Table/figure regeneration harness.
-obs         Observability: span tracer, event sink, metrics registry,
-            Chrome-trace timelines, profile archive, and one regression
-            engine (policy table + comparison) behind diff and regress.
+obs         Observability: span tracer, metrics registry, Chrome-trace
+            timelines with per-SM block tracks, profile archive, and one
+            regression engine (policy table + comparison) behind diff and
+            regress.
 """
 
 __version__ = "1.0.0"

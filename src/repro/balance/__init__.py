@@ -9,14 +9,12 @@ from .hybrid import (
     choose_assignment,
     hybrid_assignment,
 )
-from .software import TaskPoolTrace, simulate_task_pool, software_assignment
+from .software import software_assignment
 
 __all__ = [
     "hardware_assignment",
     "tune_warps_per_block",
     "software_assignment",
-    "simulate_task_pool",
-    "TaskPoolTrace",
     "choose_assignment",
     "hybrid_assignment",
     "VERTEX_THRESHOLD",

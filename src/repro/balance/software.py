@@ -1,16 +1,14 @@
 """Software-based dynamic workload assignment — Algorithm 1 of the paper.
 
 A fixed resident grid of warps pulls chunks of ``step`` consecutive
-vertices from a global ``atomicAdd`` counter until the pool drains.  Besides
-the schedule model (used by the cost model), :func:`simulate_task_pool`
-executes Algorithm 1 literally, recording which warp processed which
-vertices — the tests use it to prove every vertex is processed exactly once
-and that the pool balances better than static assignment.
+vertices from a global ``atomicAdd`` counter until the pool drains.  The
+counter serves pulls in earliest-free-warp order, so the pool is the greedy
+list schedule of :func:`repro.gpusim.scheduler.place` over the chunks, each
+charged one fetch; :func:`~repro.gpusim.scheduler.software_pool_schedule`
+is its makespan.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +16,7 @@ from ..gpusim.config import GPUSpec
 from ..gpusim.kernel import LaunchConfig
 from ..gpusim.scheduler import ScheduleResult, software_pool_schedule
 
-__all__ = ["software_assignment", "simulate_task_pool", "TaskPoolTrace"]
+__all__ = ["software_assignment"]
 
 
 def software_assignment(
@@ -41,50 +39,3 @@ def software_assignment(
         vertex_cycles, spec, step=step, resident_warps=resident
     )
     return sched, launch
-
-
-@dataclass(frozen=True)
-class TaskPoolTrace:
-    """Literal execution record of Algorithm 1."""
-
-    owner: np.ndarray  # warp id that processed each vertex
-    finish_cycles: np.ndarray  # per-warp total busy cycles
-    chunks_pulled: np.ndarray  # per-warp number of atomicAdd pulls
-
-    @property
-    def makespan(self) -> float:
-        return float(self.finish_cycles.max(initial=0.0))
-
-
-def simulate_task_pool(
-    vertex_cycles: np.ndarray,
-    num_warps: int,
-    *,
-    step: int = 8,
-    fetch_cost: float = 0.0,
-) -> TaskPoolTrace:
-    """Execute Algorithm 1: a global counter G, each warp atomically adds
-    ``step`` and processes vertices ``[sindex, min(sindex+step, n))``.
-
-    The simulation serves pulls in earliest-free-warp order, which is how
-    the atomic counter behaves when warps re-request as they finish.
-    """
-    vertex_cycles = np.asarray(vertex_cycles, dtype=np.float64)
-    if num_warps < 1:
-        raise ValueError("num_warps must be >= 1")
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    n = vertex_cycles.size
-    owner = np.full(n, -1, dtype=np.int64)
-    clock = np.zeros(num_warps, dtype=np.float64)
-    pulls = np.zeros(num_warps, dtype=np.int64)
-    g = 0  # the global counter of Algorithm 1
-    while g < n:
-        w = int(np.argmin(clock))  # warp whose atomicAdd lands next
-        sindex = g
-        g += step
-        hi = min(sindex + step, n)
-        owner[sindex:hi] = w
-        clock[w] += fetch_cost + float(vertex_cycles[sindex:hi].sum())
-        pulls[w] += 1
-    return TaskPoolTrace(owner=owner, finish_cycles=clock, chunks_pulled=pulls)

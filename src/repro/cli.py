@@ -535,7 +535,8 @@ def cmd_serve(args, config, out) -> int:
             rc = 0
             if args.smoke:
                 ok = (
-                    report.arrived == report.admitted + report.shed
+                    report.arrived
+                    == report.admitted + report.shed + report.refused
                     and report.admitted == report.completed
                     and report.completed > 0
                 )

@@ -25,19 +25,17 @@ from .memory import (
     sectors_for_span,
     strided_column_sectors,
 )
-from .eventsim import (
-    EventSimResult,
-    simulate_hardware_scheduler,
-    simulate_task_pool_warps,
-)
 from .microsim import AddressMap, MicroSim
 from .occupancy import OccupancyReport, achieved_occupancy, theoretical_occupancy
 from .profiler import ProfileReport
 from .roofline import RooflinePoint, machine_balance, roofline
 from .scheduler import (
+    Placement,
     ScheduleResult,
+    block_slots,
     greedy_makespan,
     hardware_schedule,
+    place,
     software_pool_schedule,
     static_schedule,
 )
@@ -64,6 +62,9 @@ __all__ = [
     "theoretical_occupancy",
     "achieved_occupancy",
     "ScheduleResult",
+    "Placement",
+    "place",
+    "block_slots",
     "greedy_makespan",
     "hardware_schedule",
     "software_pool_schedule",
@@ -77,9 +78,6 @@ __all__ = [
     "cached_dram_sectors",
     "AddressMap",
     "MicroSim",
-    "EventSimResult",
-    "simulate_hardware_scheduler",
-    "simulate_task_pool_warps",
     "ProfileReport",
     "RooflinePoint",
     "roofline",

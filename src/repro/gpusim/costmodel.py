@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.events import get_event_sink
 from ..obs.metrics import get_registry
 from .config import GPUSpec
 from .kernel import KernelStats, PipelineStats
@@ -214,14 +213,6 @@ def estimate_kernel(
     registry = get_registry()
     if registry is not None:
         registry.observe_kernel_timing(stats.name, timing, stats)
-    sink = get_event_sink()
-    if sink is not None and stats.atomic_ops:
-        sink.atomic_serialization(
-            kernel=stats.name,
-            atomic_ops=stats.atomic_ops,
-            collision_rate=stats.atomic_collision_rate,
-            atomic_seconds=atomic_seconds,
-        )
     return timing
 
 

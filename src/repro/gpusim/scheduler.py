@@ -9,13 +9,16 @@ The paper's hybrid workload balancing (Section 5) contrasts two policies:
 * **software** — launch a fixed resident grid; warps pull chunks of
   vertices from a global atomic counter (Algorithm 1).
 
-Both reduce to computing a *makespan* over per-unit costs.  Up to
-``_EXACT_SIM_LIMIT`` tasks the makespan is the exact greedy list schedule,
-which every modeled kernel of a perfbench or CI-sized cell uses.  It is
-computed a chunk of tasks per array step, with a heap for few workers and
-for stretches where chunks stay short; the results are bit-identical to
-the one-task-per-step heap the tests keep as their oracle.  Above the
-limit an analytical bound stands in; the tests pin it to the simulation.
+Both are one greedy list schedule: the earliest-free worker takes the
+next task, the lowest index winning a tie.  :func:`place` runs it a task
+at a time and returns where and when each task runs (the timeline draws
+its SM tracks from it); :func:`greedy_makespan` returns only its makespan.
+Up to ``_EXACT_SIM_LIMIT`` tasks that makespan is exact, which every
+modeled kernel of a perfbench or CI-sized cell uses.  It is computed a
+chunk of tasks per array step, with a heap for few workers and for
+stretches where chunks stay short; the results are bit-identical to the
+one-task-per-step heap the tests keep as their oracle.  Above the limit
+an analytical bound stands in; the tests pin it to the simulation.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.events import get_event_sink
 from .config import GPUSpec
 from .kernel import LaunchConfig
 
 __all__ = [
+    "Placement",
     "ScheduleResult",
+    "block_max",
+    "block_slots",
     "greedy_makespan",
+    "place",
     "hardware_schedule",
     "static_schedule",
     "software_pool_schedule",
@@ -59,17 +65,35 @@ class ScheduleResult:
     policy: str
 
 
-def _emit_summary(result: ScheduleResult) -> ScheduleResult:
-    """Report a finished schedule to the observability event sink."""
-    sink = get_event_sink()
-    if sink is not None:
-        sink.schedule_summary(
-            policy=result.policy,
-            num_units=result.num_units,
-            makespan_cycles=result.makespan_cycles,
-            overhead_cycles=result.overhead_cycles,
-        )
-    return result
+@dataclass(frozen=True)
+class Placement:
+    """Where and when each task of a greedy list schedule runs."""
+
+    #: index of the worker that runs each task
+    worker: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+def place(
+    costs: np.ndarray, workers: int, *, per_task_overhead: float = 0.0
+) -> Placement:
+    """Greedy list schedule of ``costs`` onto ``workers``, one task at a
+    time: the earliest-free worker takes the next task, and the lowest
+    worker index wins a tie.  Its latest ``end`` is
+    :func:`greedy_makespan`'s exact makespan, bit for bit."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    eff = np.asarray(costs, dtype=np.float64) + per_task_overhead
+    worker = np.empty(eff.size, dtype=np.int64)
+    start = np.empty(eff.size, dtype=np.float64)
+    free = [(0.0, w) for w in range(min(workers, eff.size))]
+    for i, c in enumerate(eff.tolist()):
+        t, w = free[0]
+        heapq.heapreplace(free, (t + c, w))
+        worker[i] = w
+        start[i] = t
+    return Placement(worker=worker, start=start, end=start + eff)
 
 
 def greedy_makespan(
@@ -165,7 +189,7 @@ def _chunked_makespan(eff: np.ndarray, free: np.ndarray) -> float:
     return float(free[-1])
 
 
-def _block_max(warp_cycles: np.ndarray, wpb: int) -> np.ndarray:
+def block_max(warp_cycles: np.ndarray, wpb: int) -> np.ndarray:
     """Per-block cost of consecutive ``wpb``-warp blocks: the slowest warp's
     (a short last block is padded with idle warps).  The maximum is taken
     one warp lane at a time, which is much faster than a row-wise
@@ -177,6 +201,17 @@ def _block_max(warp_cycles: np.ndarray, wpb: int) -> np.ndarray:
     for j in range(1, wpb):
         np.maximum(block_cost, lanes[:, j], out=block_cost)
     return block_cost
+
+
+def block_slots(launch: LaunchConfig, spec: GPUSpec) -> int:
+    """The device's concurrent block slots for ``launch``: as many resident
+    blocks per SM as occupancy allows, at least one.  Slot ``s`` lies on SM
+    ``s % spec.num_sms``, so the distributor gives every SM a block before
+    it gives any SM a second."""
+    blocks_per_sm = spec.occupancy_limit_blocks(
+        launch.threads_per_block, launch.regs_per_thread, launch.shared_mem_per_block
+    )
+    return max(spec.num_sms * max(blocks_per_sm, 1), 1)
 
 
 def hardware_schedule(
@@ -204,13 +239,9 @@ def hardware_schedule(
     wpb = launch.warps_per_block(spec.threads_per_warp)
     if warp_cycles.size == 0:
         return ScheduleResult(0.0, 0.0, 0.0, 0, "hardware")
-    block_cost = _block_max(warp_cycles, wpb)
+    block_cost = block_max(warp_cycles, wpb)
     n_blocks = block_cost.size
-    blocks_per_sm = spec.occupancy_limit_blocks(
-        launch.threads_per_block, launch.regs_per_thread, launch.shared_mem_per_block
-    )
-    slots = max(spec.num_sms * max(blocks_per_sm, 1), 1)
-    slots = max(int(slots * slot_share), 1)
+    slots = max(int(block_slots(launch, spec) * slot_share), 1)
     makespan = greedy_makespan(
         block_cost, slots, per_task_overhead=spec.block_schedule_cycles
     )
@@ -218,13 +249,13 @@ def hardware_schedule(
     # Busy cycles: a block's warp slots are held for the block's duration,
     # but only `warp_cycles` of it is useful work.
     busy = float(warp_cycles.sum())
-    return _emit_summary(ScheduleResult(
+    return ScheduleResult(
         makespan_cycles=float(makespan),
         busy_warp_cycles=busy,
         overhead_cycles=float(overhead),
         num_units=n_blocks,
         policy="hardware",
-    ))
+    )
 
 
 def static_schedule(
@@ -243,23 +274,20 @@ def static_schedule(
     wpb = launch.warps_per_block(spec.threads_per_warp)
     if warp_cycles.size == 0:
         return ScheduleResult(0.0, 0.0, 0.0, 0, "static")
-    block_cost = _block_max(warp_cycles, wpb)
+    block_cost = block_max(warp_cycles, wpb)
     n_blocks = block_cost.size
-    blocks_per_sm = spec.occupancy_limit_blocks(
-        launch.threads_per_block, launch.regs_per_thread, launch.shared_mem_per_block
-    )
-    slots = max(spec.num_sms * max(blocks_per_sm, 1), 1)
+    slots = block_slots(launch, spec)
     # round-robin: slot s runs blocks s, s+slots, s+2*slots, ...
     pad_b = (-n_blocks) % slots
     per_slot = np.pad(block_cost, (0, pad_b)).reshape(-1, slots).sum(axis=0)
     makespan = float(per_slot.max())
-    return _emit_summary(ScheduleResult(
+    return ScheduleResult(
         makespan_cycles=makespan,
         busy_warp_cycles=float(warp_cycles.sum()),
         overhead_cycles=0.0,
         num_units=n_blocks,
         policy="static",
-    ))
+    )
 
 
 def software_pool_schedule(
@@ -295,10 +323,10 @@ def software_pool_schedule(
         chunk_cost, resident_warps, per_task_overhead=fetch_cost
     )
     overhead = fetch_cost * n_chunks / resident_warps
-    return _emit_summary(ScheduleResult(
+    return ScheduleResult(
         makespan_cycles=float(makespan),
         busy_warp_cycles=float(vertex_cycles.sum()),
         overhead_cycles=float(overhead),
         num_units=n_chunks,
         policy="software",
-    ))
+    )

@@ -39,8 +39,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from ..obs.events import get_event_sink
-
 __all__ = ["StreamKernel", "StreamCompletion", "MultiStreamSimulator"]
 
 #: remaining demand below this many seconds counts as finished (sub-femto
@@ -60,9 +58,6 @@ class StreamKernel:
     launch_seconds: float = 0.0
     #: opaque payload threaded through to the completion (e.g. a batch id)
     tag: object = None
-    #: request-level tracing context (a :class:`repro.obs.reqtrace.
-    #: BatchContext` on the serving path); None outside request tracing
-    ctx: object = None
 
     def __post_init__(self) -> None:
         if self.comp_seconds < 0 or self.mem_seconds < 0 or self.launch_seconds < 0:
@@ -75,9 +70,6 @@ class StreamKernel:
 
     def with_tag(self, tag: object) -> "StreamKernel":
         return replace(self, tag=tag)
-
-    def with_ctx(self, ctx: object) -> "StreamKernel":
-        return replace(self, ctx=ctx)
 
 
 @dataclass(frozen=True)
@@ -354,30 +346,13 @@ class MultiStreamSimulator:
         done = [r for r in self._running if r.done]
         if not done:
             return False
-        sink = get_event_sink()
         for r in sorted(done, key=lambda r: r.seq):
             self._running.remove(r)
             self._stream_busy[r.stream] = False
-            completion = StreamCompletion(
+            self._completions.append(StreamCompletion(
                 kernel=r.kernel, stream=r.stream, enqueue_s=r.enqueue_s,
                 launch_start_s=r.launch_start_s, ready_s=r.ready_s,
                 start_s=r.start_s, finish_s=self.now,
-            )
-            self._completions.append(completion)
+            ))
             self._busy_horizon = max(self._busy_horizon, self.now)
-            if sink is not None:
-                fields = dict(
-                    name=r.kernel.name, stream=r.stream,
-                    enqueue_s=r.enqueue_s, start_s=r.start_s,
-                    finish_s=self.now, stretch=completion.stretch,
-                )
-                ctx = r.kernel.ctx
-                if ctx is not None:
-                    # request-level attribution: which batch / requests
-                    # this kernel served (see repro.obs.reqtrace)
-                    fields["batch"] = getattr(ctx, "bid", None)
-                    rids = getattr(ctx, "rids", None)
-                    if rids is not None:
-                        fields["rids"] = list(rids)
-                sink.emit("stream_kernel", **fields)
         return True

@@ -10,12 +10,10 @@ the stack auditable the way GPGPU-Sim-style workload studies are:
   the bench harness, the four framework pipelines, and the kernel
   ``run()``/``analyze()`` paths.  Disabled by default; the disabled path
   is a single module-global load and allocates nothing.
-* :mod:`~repro.obs.events` — event sink fed by :mod:`repro.gpusim.eventsim`
-  and :mod:`repro.gpusim.scheduler` (kernel launch, block→SM assignment,
-  warp completion, atomic serialization).
 * :mod:`~repro.obs.timeline` — Chrome-trace-event JSON export (Perfetto /
-  ``chrome://tracing`` loadable): one track per simulated SM, kernel spans
-  whose summed durations equal ``ProfileReport.gpu_time_ms``.
+  ``chrome://tracing`` loadable): kernel spans whose summed durations
+  equal ``ProfileReport.gpu_time_ms``, and one track per simulated SM
+  drawn from the block placements of :func:`repro.gpusim.scheduler.place`.
 * :mod:`~repro.obs.metrics` — counter/gauge registry that
   :class:`~repro.gpusim.profiler.ProfileReport` and the cost model
   publish into, with a JSONL sink.
@@ -35,7 +33,6 @@ on regression.
 
 from .archive import SCHEMA_VERSION, ProfileArchive, config_fingerprint, load_run
 from .dashboard import render_top
-from .events import EventSink, get_event_sink, set_event_sink
 from .expose import render_prometheus
 from .metrics import (
     Counter,
@@ -67,9 +64,6 @@ __all__ = [
     "current_span",
     "get_tracer",
     "set_tracer",
-    "EventSink",
-    "get_event_sink",
-    "set_event_sink",
     "Counter",
     "Gauge",
     "Histogram",

@@ -4,10 +4,11 @@
 this module answers the serving question — "where did this *request*
 spend its time".  A :class:`RequestContext` (request id + job class) is
 attached to every request at admission and propagated through the
-batcher, the stream scheduler (:class:`~repro.gpusim.streams.
-StreamKernel` carries a :class:`BatchContext`), and down into per-kernel
-execution, so each completed request owns a span tree with an exact
-four-stage breakdown:
+batcher (a dispatched batch gets a :class:`BatchContext`), the stream
+scheduler (each kernel's completion is matched to its batch by the
+batch-id tag of its :class:`~repro.gpusim.streams.StreamKernel`), and
+down into per-kernel execution, so each completed request owns a span
+tree with an exact four-stage breakdown:
 
 * **queue** — admission processing plus every wait on the device path
   (host launch serialization, stream FIFO, co-residency slots),

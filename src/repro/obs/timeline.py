@@ -6,19 +6,23 @@ loadable in Perfetto / ``chrome://tracing``:
 * **pid 2 — "GPU (modeled)"**: a ``kernels`` track whose complete events
   (``ph="X"``) are the pipeline's kernels laid end to end — their summed
   durations equal ``ProfileReport.gpu_time_ms`` exactly — plus **one
-  track per simulated SM** showing block residency, produced by replaying
-  each kernel's per-unit costs through the instrumented discrete-event
-  simulator (:func:`repro.gpusim.eventsim.simulate_hardware_scheduler`
-  with an :class:`~repro.obs.events.EventSink` installed).  Because a
-  kernel's modeled GPU time can exceed its SM makespan (bandwidth- or
-  atomic-bound kernels), the replayed block events are stretched to fill
+  track per simulated SM** showing block residency: each kernel's blocks
+  (slowest warp plus ``block_schedule_cycles``) placed on the device's
+  block slots by the hardware distributor's list schedule
+  (:func:`repro.gpusim.scheduler.place` over
+  :func:`~repro.gpusim.scheduler.block_slots`).  Every kernel is drawn
+  this way, including those costed under the static or software-pool
+  policy.  Because a kernel's modeled GPU time can exceed its SM makespan
+  (bandwidth- or atomic-bound kernels), the blocks are stretched to fill
   the kernel's window — relative SM load stays faithful.
 * **pid 1 — "host (wall clock)"**: the span tree of an optional
   :class:`~repro.obs.tracer.Tracer` (harness / pipeline / kernel spans).
 
 Timestamps are microseconds and monotonic per track.  Event counts are
-bounded per kernel; any drops are reported in ``otherData.dropped_events``
-rather than silently truncating.
+bounded per kernel: ``max_block_events_per_kernel`` covers one launch
+record (not drawn), then a span and a completion instant per block, in
+block order; what does not fit is counted in ``otherData.dropped_events``
+rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .events import EventSink, set_event_sink
 from .tracer import Tracer
 
 __all__ = ["build_timeline", "write_timeline"]
@@ -48,7 +51,7 @@ def build_timeline(
     max_block_events_per_kernel: int = 20_000,
 ) -> dict:
     """Build the Chrome trace object for one profiled run."""
-    from ..gpusim.eventsim import simulate_hardware_scheduler
+    from ..gpusim.scheduler import block_max, block_slots, place
 
     report = getattr(result, "report", result)
     events: list[dict] = [
@@ -94,43 +97,53 @@ def build_timeline(
             )
 
         if stats.warp_cycles.size:
-            sink = EventSink(max_events=max_block_events_per_kernel)
-            previous = set_event_sink(sink)
-            try:
-                sim = simulate_hardware_scheduler(
-                    stats.warp_cycles, stats.launch, spec
-                )
-            finally:
-                set_event_sink(previous)
-            dropped += sink.dropped
-            sim_us = sim.makespan_cycles * cycles_to_us
+            wpb = stats.launch.warps_per_block(spec.threads_per_warp)
+            blocks = place(
+                block_max(stats.warp_cycles, wpb),
+                block_slots(stats.launch, spec),
+                per_task_overhead=spec.block_schedule_cycles,
+            )
+            n_blocks = blocks.worker.size
+            # the cap covers a launch record (not drawn), then a span and
+            # a completion instant per block, in block order
+            cap = max(max_block_events_per_kernel, 0)
+            spans = min(n_blocks, cap // 2)
+            instants = min(n_blocks, max((cap - 1) // 2, 0))
+            dropped += max(1 + 2 * n_blocks - cap, 0)
+            sim_us = float(blocks.end.max()) * cycles_to_us
             # stretch SM activity to fill the kernel's (possibly
             # bandwidth-bound) window
             scale = dur_us / sim_us if sim_us > 0 else 0.0
-            for ev in sink.by_kind("block_assigned"):
-                start = cursor_us + ev["start_cycles"] * cycles_to_us * scale
-                end = cursor_us + ev["end_cycles"] * cycles_to_us * scale
+            start = cursor_us + blocks.start[:spans] * cycles_to_us * scale
+            end = cursor_us + blocks.end[:spans] * cycles_to_us * scale
+            start, end = start.tolist(), end.tolist()
+            tid = (blocks.worker[:spans] % spec.num_sms + 1).tolist()
+            last_warps = stats.warp_cycles.size - (n_blocks - 1) * wpb
+            for b in range(spans):
                 events.append(
                     {
                         "name": f"{timing.name} block",
                         "ph": "X",
-                        "ts": start,
-                        "dur": max(end - start, 0.0),
+                        "ts": start[b],
+                        "dur": max(end[b] - start[b], 0.0),
                         "pid": _GPU_PID,
-                        "tid": ev["sm"] + 1,
-                        "args": {"block": ev["block"], "warps": ev["warps"]},
+                        "tid": tid[b],
+                        "args": {
+                            "block": b,
+                            "warps": wpb if b < n_blocks - 1 else last_warps,
+                        },
                     }
                 )
-            for ev in sink.by_kind("warp_complete"):
+            for b in range(instants):
                 events.append(
                     {
                         "name": "warp_complete",
                         "ph": "i",
                         "s": "t",
-                        "ts": cursor_us + ev["at_cycles"] * cycles_to_us * scale,
+                        "ts": end[b],
                         "pid": _GPU_PID,
-                        "tid": ev["sm"] + 1,
-                        "args": {"unit": ev["unit"]},
+                        "tid": tid[b],
+                        "args": {"unit": b},
                     }
                 )
         cursor_us += dur_us

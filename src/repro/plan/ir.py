@@ -24,7 +24,6 @@ from ..gpusim.scheduler import ScheduleResult
 from ..lint.access import KernelAccess
 from ..lint.effects import KernelEffects
 from ..models.convspec import ConvWorkload
-from ..obs.events import EventSink, get_event_sink, set_event_sink
 from ..obs.tracer import span
 
 __all__ = ["KernelOp", "ComputeStep", "ExecutionPlan", "PlanInfo", "plan_for_kernel"]
@@ -32,11 +31,8 @@ __all__ = ["KernelOp", "ComputeStep", "ExecutionPlan", "PlanInfo", "plan_for_ker
 #: analyze closure signature for modeled (non-ConvKernel) ops
 AnalyzeFn = Callable[[GPUSpec], tuple[KernelStats, ScheduleResult]]
 
-#: one memoized analysis: the spec it ran for, its result, and the
-#: (kind, fields) events it emitted
-_Analysis = tuple[
-    GPUSpec, KernelStats, ScheduleResult, tuple[tuple[str, dict[str, Any]], ...]
-]
+#: one memoized analysis: the spec it ran for and its result
+_Analysis = tuple[GPUSpec, KernelStats, ScheduleResult]
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,7 @@ class KernelOp:
         :func:`repro.identity.owned_digest` keeps digests on their owner;
         a ``dataclasses.replace`` copy starts empty.  A hit still opens
         the ``kernel.analyze`` span, tagged ``memo="hit"`` (a miss
-        ``"miss"``), and emits the events the analysis sent, so the
-        installed event sink sees the same stream either way.
+        ``"miss"``).
         """
         memo: list[_Analysis] = vars(self).setdefault("_analyses", [])
         done = next((a for a in memo if a[0] is spec), None)
@@ -101,23 +96,13 @@ class KernelOp:
             "kernel.analyze", kernel=label, memo="miss" if done is None else "hit"
         ) as sp:
             if done is None:
-                recorder = EventSink()
-                outer = set_event_sink(recorder)
-                try:
-                    stats, sched = self._compute(spec)
-                finally:
-                    set_event_sink(outer)
+                stats, sched = self._compute(spec)
                 stats.warp_cycles.setflags(write=False)
-                events = tuple((e.pop("kind"), e) for e in recorder.events)
-                done = (spec, stats, sched, events)
+                done = (spec, stats, sched)
                 memo.append(done)
-            _, stats, sched, events = done
+            _, stats, sched = done
             if sp is not None:
                 sp.set(num_units=sched.num_units, policy=sched.policy)
-        sink = get_event_sink()
-        if sink is not None:
-            for kind, fields in events:
-                sink.emit(kind, **fields)
         return stats, sched
 
     def _compute(self, spec: GPUSpec) -> tuple[KernelStats, ScheduleResult]:

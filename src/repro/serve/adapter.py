@@ -136,6 +136,14 @@ class ServableModel:
         return self.offline_timing.runtime_seconds
 
     # ------------------------------------------------------------------
+    def can_serve(self, request: Request) -> bool:
+        """False for a targets request naming a vertex outside the graph;
+        the service refuses it on arrival, before it can join a batch."""
+        targets = request.targets
+        return targets is None or (
+            min(targets) >= 0 and max(targets) < self.graph.num_vertices
+        )
+
     def plan(self, batch: Sequence[Request]) -> list[StreamKernel]:
         """The ordered kernel launches that serve this micro-batch."""
         if not batch:

@@ -5,11 +5,13 @@ offered rate exceeds the service rate the queue grows without bound and
 every latency percentile diverges.  The admission controller bounds the
 *in-system* request count (admitted but not yet completed, i.e. waiting
 in the batcher plus in flight on the device); arrivals beyond the bound
-are shed immediately and counted, never silently dropped.  The serving
-loop enforces the conservation law the property tests pin::
+are shed immediately and counted, never silently dropped.  An arrival the
+planner cannot serve at all (a target vertex outside the graph) is refused
+before it is offered for admission, and counted apart from the shed ones.
+The serving loop enforces the conservation law the property tests pin::
 
-    arrived == admitted + shed        (at every instant)
-    admitted == completed             (after drain)
+    arrived == admitted + shed + refused    (at every instant)
+    admitted == completed                   (after drain)
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ class AdmissionController:
         self.arrived = 0
         self.admitted = 0
         self.shed = 0
+        self.refused = 0
         self.in_system = 0
 
     def try_admit(self) -> bool:
@@ -38,6 +41,11 @@ class AdmissionController:
         self.admitted += 1
         self.in_system += 1
         return True
+
+    def refuse(self) -> None:
+        """Count one arrival that cannot be served; it takes no queue slot."""
+        self.arrived += 1
+        self.refused += 1
 
     def release(self, count: int = 1) -> None:
         """Mark ``count`` admitted requests completed."""

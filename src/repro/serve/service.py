@@ -5,7 +5,8 @@ simulated clock:
 
 1. open-loop arrivals (:mod:`.workload`) are offered to the
    :class:`~repro.serve.admission.AdmissionController` (bounded
-   in-system population; overload is shed and counted),
+   in-system population; overload is shed and counted); an arrival the
+   planner's ``can_serve`` rejects is refused and counted instead,
 2. admitted requests wait in the :class:`~repro.serve.batcher.
    MicroBatcher` until a size or deadline trigger fires,
 3. each emitted batch is planned by the servable model into an ordered
@@ -109,6 +110,8 @@ class ServeReport:
     arrived: int = 0
     admitted: int = 0
     shed: int = 0
+    #: arrivals the planner cannot serve (never admitted or batched)
+    refused: int = 0
     completed: int = 0
     num_batches: int = 0
     avg_batch: float = 0.0
@@ -143,6 +146,7 @@ class ServeReport:
         registry.counter("serve_requests_arrived", **tags).inc(self.arrived)
         registry.counter("serve_requests_admitted", **tags).inc(self.admitted)
         registry.counter("serve_requests_shed", **tags).inc(self.shed)
+        registry.counter("serve_requests_refused", **tags).inc(self.refused)
         registry.counter("serve_requests_completed", **tags).inc(self.completed)
         registry.counter("serve_batches", **tags).inc(self.num_batches)
         registry.gauge("serve_latency_p50_ms", **tags).set(self.p50_ms)
@@ -193,6 +197,11 @@ class ServeReport:
             f"  throughput : {self.throughput_rps:,.1f} req/s over "
             f"{self.makespan_s * 1e3:.3f} ms (simulated)",
         ]
+        if self.refused:
+            lines.append(
+                f"  refused    : {self.refused} request(s) the model cannot "
+                "serve (never batched)"
+            )
         if self.offline_runtime_ms is not None:
             lines.append(
                 f"  offline    : single-request runtime "
@@ -213,8 +222,9 @@ class ServeReport:
 
 
 class InferenceService:
-    """Drives one planner (anything with ``plan(batch) -> [StreamKernel]``)
-    through a request trace on the simulated clock."""
+    """Drives one planner (anything with ``plan(batch) -> [StreamKernel]``,
+    and optionally ``can_serve(request) -> bool``) through a request trace
+    on the simulated clock."""
 
     def __init__(self, planner, cfg: ServeConfig, *, label: str | None = None):
         self.planner = planner
@@ -230,6 +240,7 @@ class InferenceService:
         )
         batcher = MicroBatcher(max_batch=cfg.max_batch, window_s=cfg.window_s)
         admission = AdmissionController(queue_depth=cfg.queue_depth)
+        can_serve = getattr(self.planner, "can_serve", None)
         accountant = LatencyAccountant()
         collector = get_request_collector()
         monitor: SLOMonitor | None = None
@@ -318,10 +329,7 @@ class InferenceService:
             stream = min(range(cfg.num_streams), key=sim.pending_work_s)
             in_flight[bid] = [batch, now_s, len(plan), bctx]
             for kernel in plan:
-                kernel = kernel.with_tag(bid)
-                if bctx is not None:
-                    kernel = kernel.with_ctx(bctx)
-                sim.submit(kernel, stream=stream, at_s=now_s)
+                sim.submit(kernel.with_tag(bid), stream=stream, at_s=now_s)
 
         with span(
             "serve.run", label=self.label, requests=len(requests)
@@ -345,7 +353,9 @@ class InferenceService:
                 ):
                     request = requests[i]
                     i += 1
-                    if admission.try_admit():
+                    if can_serve is not None and not can_serve(request):
+                        admission.refuse()
+                    elif admission.try_admit():
                         batcher.add(request, now_s=now)
                         if collector is not None:
                             collector.record_admit(
@@ -371,7 +381,11 @@ class InferenceService:
                 raise RuntimeError("serving loop finished with work in flight")
             if sp is not None:
                 sp.add_modeled(sim.makespan_s)
-                sp.set(completed=accountant.completed, shed=admission.shed)
+                sp.set(
+                    completed=accountant.completed,
+                    shed=admission.shed,
+                    refused=admission.refused,
+                )
 
         report = ServeReport(
             label=self.label,
@@ -379,6 +393,7 @@ class InferenceService:
             arrived=admission.arrived,
             admitted=admission.admitted,
             shed=admission.shed,
+            refused=admission.refused,
             completed=accountant.completed,
             num_batches=num_batches,
             avg_batch=accountant.avg_batch,
@@ -403,7 +418,9 @@ class InferenceService:
                 requests[-1].arrival_s if requests else 0.0,
             )
             report.slo = monitor.summary(end_s)
-        if report.arrived != report.admitted + report.shed:  # pragma: no cover
+        if report.arrived != (
+            report.admitted + report.shed + report.refused
+        ):  # pragma: no cover
             raise RuntimeError("admission conservation violated")
         if report.admitted != report.completed:  # pragma: no cover
             raise RuntimeError("completion conservation violated")

@@ -9,76 +9,88 @@ from repro.balance import (
     choose_assignment,
     hardware_assignment,
     hybrid_assignment,
-    simulate_task_pool,
     software_assignment,
     tune_warps_per_block,
 )
-from repro.gpusim import V100
+from repro.gpusim import V100, place, software_pool_schedule
+
+
+def _pool(costs, warps, step, fetch_cost=0.0):
+    """Algorithm 1 on the list scheduler: chunk ``c`` holds vertices
+    ``[c*step, (c+1)*step)``, and the warp whose atomicAdd lands first
+    pulls the next chunk, paying ``fetch_cost`` per pull."""
+    n_chunks = -(-costs.size // step)
+    padded = np.pad(costs, (0, n_chunks * step - costs.size))
+    chunks = place(
+        padded.reshape(n_chunks, step).sum(axis=1), warps,
+        per_task_overhead=fetch_cost,
+    )
+    return chunks, np.repeat(chunks.worker, step)[: costs.size]
 
 
 class TestAlgorithm1:
-    """Literal execution of the paper's Algorithm 1."""
+    """The paper's Algorithm 1 as placements of the one list scheduler."""
 
     def test_every_vertex_processed_once(self):
         rng = np.random.default_rng(0)
         costs = rng.uniform(1, 10, size=1000)
-        trace = simulate_task_pool(costs, num_warps=32, step=8)
-        assert np.all(trace.owner >= 0)
-        assert np.all(trace.owner < 32)
+        chunks, owner = _pool(costs, warps=32, step=8)
+        assert chunks.worker.size == 125  # each chunk placed once
+        assert owner.size == costs.size
+        assert np.all((owner >= 0) & (owner < 32))
 
     def test_chunks_are_consecutive(self):
         costs = np.ones(100)
-        trace = simulate_task_pool(costs, num_warps=4, step=10)
-        # each chunk of 10 consecutive vertices has a single owner
+        chunks, owner = _pool(costs, warps=4, step=10)
+        # each chunk of 10 consecutive vertices has a single owner, and the
+        # counter hands chunks out in vertex order
         for c in range(0, 100, 10):
-            assert len(set(trace.owner[c : c + 10].tolist())) == 1
+            assert len(set(owner[c : c + 10].tolist())) == 1
+        assert np.all(np.diff(chunks.start) >= 0.0)
 
     def test_total_work_conserved(self):
         rng = np.random.default_rng(1)
         costs = rng.uniform(1, 5, size=777)
-        trace = simulate_task_pool(costs, num_warps=16, step=8)
-        assert trace.finish_cycles.sum() == pytest.approx(costs.sum())
+        chunks, _ = _pool(costs, warps=16, step=8)
+        assert (chunks.end - chunks.start).sum() == pytest.approx(costs.sum())
 
     def test_pulls_counted(self):
         costs = np.ones(64)
-        trace = simulate_task_pool(costs, num_warps=4, step=8)
-        assert trace.chunks_pulled.sum() == 8
+        chunks, _ = _pool(costs, warps=4, step=8)
+        assert np.bincount(chunks.worker, minlength=4).tolist() == [2, 2, 2, 2]
 
     def test_fetch_cost_charged_per_pull(self):
         costs = np.ones(64)
-        a = simulate_task_pool(costs, num_warps=4, step=8)
-        b = simulate_task_pool(costs, num_warps=4, step=8, fetch_cost=100.0)
-        assert b.finish_cycles.sum() == pytest.approx(
-            a.finish_cycles.sum() + 100.0 * 8
+        a, _ = _pool(costs, warps=4, step=8)
+        b, _ = _pool(costs, warps=4, step=8, fetch_cost=100.0)
+        assert (b.end - b.start).sum() == pytest.approx(
+            (a.end - a.start).sum() + 100.0 * 8
         )
 
     def test_dynamic_beats_static_split_on_skew(self):
         rng = np.random.default_rng(2)
         costs = rng.pareto(1.3, size=4096) * 100 + 1
-        trace = simulate_task_pool(costs, num_warps=64, step=4)
+        chunks, _ = _pool(costs, warps=64, step=4)
         static = costs.reshape(64, -1).sum(axis=1).max()
-        assert trace.makespan <= static
+        assert chunks.end.max() <= static
 
     def test_validations(self):
-        with pytest.raises(ValueError):
-            simulate_task_pool(np.ones(4), num_warps=0)
-        with pytest.raises(ValueError):
-            simulate_task_pool(np.ones(4), num_warps=1, step=0)
+        with pytest.raises(ValueError, match="workers"):
+            place(np.ones(4), 0)
+        with pytest.raises(ValueError, match="step"):
+            software_pool_schedule(np.ones(4), V100, step=0)
 
     def test_pool_schedule_tracks_simulation(self):
-        """The analytical pool schedule agrees with literally running
-        Algorithm 1 on the same costs."""
+        """The pool schedule's makespan is the placements' latest end."""
         rng = np.random.default_rng(3)
         costs = rng.uniform(1, 50, size=5000)
-        trace = simulate_task_pool(costs, num_warps=256, step=8)
-        sched, _launch = software_assignment(
-            costs, V100.with_overrides(cycles_per_atomic=0.0,
-                                       cycles_per_request=0.0),
-            step=8,
-        )
-        # same pool, far more warps in the schedule -> schedule never slower
-        # than the 256-warp literal run
-        assert sched.makespan_cycles <= trace.makespan
+        fetch = V100.cycles_per_atomic + V100.cycles_per_request
+        for warps in (64, 256):
+            sched = software_pool_schedule(
+                costs, V100, step=8, resident_warps=warps
+            )
+            chunks, _ = _pool(costs, warps=warps, step=8, fetch_cost=fetch)
+            assert sched.makespan_cycles == chunks.end.max()
 
 
 class TestHeuristic:

@@ -1,4 +1,5 @@
-"""Scheduling models: greedy makespan, hardware/static/software policies."""
+"""Scheduling models: the list schedule's placements and makespan,
+hardware/static/software policies."""
 
 import heapq
 
@@ -12,6 +13,7 @@ from repro.gpusim import (
     LaunchConfig,
     greedy_makespan,
     hardware_schedule,
+    place,
     software_pool_schedule,
     static_schedule,
 )
@@ -58,6 +60,41 @@ class TestGreedyMakespan:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             greedy_makespan(np.ones(3), 0)
+
+
+class TestPlace:
+    def test_empty(self):
+        placed = place(np.array([]), 4)
+        assert placed.worker.size == placed.start.size == placed.end.size == 0
+
+    def test_fewer_tasks_than_workers(self):
+        placed = place(np.array([5.0, 3.0]), 8)
+        assert placed.worker.tolist() == [0, 1]
+        assert placed.start.tolist() == [0.0, 0.0]
+        assert placed.end.tolist() == [5.0, 3.0]
+
+    def test_ties_go_to_the_lowest_index(self):
+        # worker 1 frees first and takes task 2; then both free at 2.0 and
+        # worker 0 wins the tie
+        placed = place(np.array([2.0, 1.0, 1.0, 1.0]), 2)
+        assert placed.worker.tolist() == [0, 1, 1, 0]
+        assert placed.start.tolist() == [0.0, 0.0, 1.0, 2.0]
+
+    def test_each_worker_runs_its_tasks_back_to_back(self):
+        costs = np.random.default_rng(6).uniform(1.0, 10.0, 500)
+        placed = place(costs, 7, per_task_overhead=0.5)
+        np.testing.assert_allclose(placed.end - placed.start, costs + 0.5)
+        for w in range(7):
+            mine = placed.worker == w
+            assert placed.start[mine][0] == 0.0
+            assert np.array_equal(placed.start[mine][1:], placed.end[mine][:-1])
+        # tasks are taken in order
+        assert np.all(np.diff(placed.start) >= 0.0)
+
+    def test_invalid_workers(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                place(np.ones(3), bad)
 
 
 class TestHardwareSchedule:
@@ -236,6 +273,7 @@ def test_exact_makespan_equals_heap(kind, n, workers, overhead, seed):
         costs, workers, per_task_overhead=overhead, exact=True
     )
     assert span == _heap_makespan(costs + overhead, workers)
+    assert place(costs, workers, per_task_overhead=overhead).end.max() == span
 
 
 def _adversarial(workers, n=6000):
@@ -260,6 +298,7 @@ def test_exact_makespan_equals_heap_on_adversarial_families(workers):
     for name, costs in _adversarial(workers).items():
         span = greedy_makespan(costs, workers, exact=True)
         assert span == _heap_makespan(costs, workers), name
+        assert place(costs, workers).end.max() == span, name
 
 
 def test_block_costs_are_the_slowest_warp():

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.gpusim.streams import MultiStreamSimulator, StreamKernel
-from repro.obs.events import EventSink, set_event_sink
 
 
 def K(name="k", comp=1e-3, mem=0.0, launch=0.0, tag=None):
@@ -179,20 +178,6 @@ class TestValidation:
 
 
 class TestObservability:
-    def test_completions_emit_stream_kernel_events(self):
-        sink = EventSink()
-        previous = set_event_sink(sink)
-        try:
-            sim = MultiStreamSimulator(num_streams=1)
-            sim.submit(K("observed", comp=1e-3), stream=0, at_s=0.0)
-            sim.drain()
-        finally:
-            set_event_sink(previous)
-        events = sink.by_kind("stream_kernel")
-        assert len(events) == 1
-        assert events[0]["name"] == "observed"
-        assert events[0]["finish_s"] == pytest.approx(1e-3)
-
     def test_tag_round_trips(self):
         sim = MultiStreamSimulator(num_streams=1)
         sim.submit(K().with_tag(("batch", 7)), stream=0, at_s=0.0)

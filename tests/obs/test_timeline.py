@@ -1,19 +1,13 @@
-"""Chrome-trace timelines + the instrumented event-sim sink."""
+"""Chrome-trace timelines: kernel spans and the per-SM block tracks."""
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
-import numpy as np
 import pytest
 
 from repro.bench import BenchConfig, get_dataset, make_features, run_system
 from repro.frameworks import SYSTEMS
-from repro.gpusim import V100, LaunchConfig, scaled_spec
-from repro.gpusim.eventsim import (
-    simulate_hardware_scheduler,
-    simulate_task_pool_warps,
-)
-from repro.obs.events import EventSink, get_event_sink, set_event_sink
+from repro.gpusim import block_slots
 from repro.obs.timeline import build_timeline
 
 CONFIG = BenchConfig(max_edges=60_000, seed=7)
@@ -26,75 +20,69 @@ def _run(system="TLPGNN", model="gcn", dataset="CR"):
     return res, CONFIG.spec_for(ds)
 
 
-@pytest.fixture
-def sink():
-    s = EventSink()
-    previous = set_event_sink(s)
-    yield s
-    set_event_sink(previous)
+def _num_blocks(stats, spec):
+    wpb = stats.launch.warps_per_block(spec.threads_per_warp)
+    return -(-stats.warp_cycles.size // wpb)
 
 
-class TestEventSink:
-    def test_disabled_by_default(self):
-        assert get_event_sink() is None
+class TestSMTracks:
+    """The SM tracks place each kernel's blocks with the hardware
+    distributor's list schedule; the cap keeps a prefix in block order."""
 
-    def test_hardware_sim_emits_block_and_warp_events(self, sink):
-        spec = scaled_spec(V100, 0.05)
-        launch = LaunchConfig(num_blocks=8, threads_per_block=128)
-        rng = np.random.default_rng(0)
-        sim = simulate_hardware_scheduler(rng.uniform(50, 150, 32), launch, spec)
-        blocks = sink.by_kind("block_assigned")
-        assert len(blocks) == sim.num_blocks
-        assert len(sink.by_kind("warp_complete")) == sim.num_blocks
-        assert len(sink.by_kind("kernel_launch")) == 1
-        assert {b["sm"] for b in blocks} <= set(range(spec.num_sms))
-        for b in blocks:
-            assert b["end_cycles"] > b["start_cycles"] >= 0.0
-        assert max(b["end_cycles"] for b in blocks) == pytest.approx(
-            sim.makespan_cycles
+    @pytest.fixture(scope="class")
+    def cell(self):
+        res, spec = _run(system="DGL")  # six kernels of 11 to 338 blocks
+        names = [t.name for t in res.report.timing.kernels]
+        assert len(set(names)) == len(names)
+        return res, spec
+
+    def _kernels(self, cell):
+        res, spec = cell
+        return [
+            (timing.name, stats, _num_blocks(stats, spec))
+            for stats, timing in zip(
+                res.report.stats.kernels, res.report.timing.kernels, strict=True
+            )
+        ]
+
+    def test_first_block_slots_blocks_go_round_robin(self, cell):
+        res, spec = cell
+        trace = build_timeline(res, spec)
+        for name, stats, blocks in self._kernels(cell):
+            sm = {
+                ev["args"]["block"]: ev["tid"] - 1
+                for ev in trace["traceEvents"] if ev["name"] == f"{name} block"
+            }
+            assert len(sm) == blocks
+            first = min(block_slots(stats.launch, spec), blocks)
+            assert [sm[b] for b in range(first)] == [
+                b % spec.num_sms for b in range(first)
+            ]
+
+    @pytest.mark.parametrize("cap", [4, 51])
+    def test_cap_draws_spans_then_instants_in_block_order(self, cell, cap):
+        res, spec = cell
+        events = build_timeline(
+            res, spec, max_block_events_per_kernel=cap
+        )["traceEvents"]
+        units = Counter()
+        for name, _, blocks in self._kernels(cell):
+            drawn = sorted(
+                ev["args"]["block"] for ev in events
+                if ev["name"] == f"{name} block"
+            )
+            assert drawn == list(range(min(blocks, -(-(cap - 1) // 2))))
+            units.update(range(min(blocks, (cap - 1) // 2)))
+        instants = [ev for ev in events if ev["name"] == "warp_complete"]
+        assert Counter(ev["args"]["unit"] for ev in instants) == units
+
+    @pytest.mark.parametrize("cap", [4, 51, 20_000])
+    def test_dropped_events_count_what_the_cap_left_out(self, cell, cap):
+        res, spec = cell
+        trace = build_timeline(res, spec, max_block_events_per_kernel=cap)
+        assert trace["otherData"]["dropped_events"] == sum(
+            max(1 + 2 * blocks - cap, 0) for _, _, blocks in self._kernels(cell)
         )
-
-    def test_task_pool_sim_emits_chunk_events(self, sink):
-        spec = scaled_spec(V100, 0.05)
-        rng = np.random.default_rng(1)
-        sim = simulate_task_pool_warps(rng.uniform(5, 25, 128), spec, step=8)
-        assert len(sink.by_kind("block_assigned")) == sim.num_blocks
-        assert sink.by_kind("kernel_launch")[0]["name"] == "task_pool"
-
-    def test_sink_caps_and_counts_drops(self):
-        s = EventSink(max_events=5)
-        previous = set_event_sink(s)
-        try:
-            spec = scaled_spec(V100, 0.05)
-            launch = LaunchConfig(num_blocks=64, threads_per_block=32)
-            simulate_hardware_scheduler(np.full(64, 100.0), launch, spec)
-        finally:
-            set_event_sink(previous)
-        assert len(s) == 5
-        assert s.dropped > 0
-
-    def test_results_unchanged_by_sink(self):
-        spec = scaled_spec(V100, 0.05)
-        launch = LaunchConfig(num_blocks=8, threads_per_block=128)
-        costs = np.random.default_rng(2).uniform(50, 150, 32)
-        bare = simulate_hardware_scheduler(costs, launch, spec)
-        previous = set_event_sink(EventSink())
-        try:
-            observed = simulate_hardware_scheduler(costs, launch, spec)
-        finally:
-            set_event_sink(previous)
-        assert bare.makespan_cycles == observed.makespan_cycles
-        assert np.array_equal(bare.sm_busy_cycles, observed.sm_busy_cycles)
-
-    def test_scheduler_emits_summary(self, sink):
-        from repro.gpusim.scheduler import hardware_schedule
-
-        spec = scaled_spec(V100, 0.05)
-        launch = LaunchConfig(num_blocks=4, threads_per_block=128)
-        sched = hardware_schedule(np.full(16, 100.0), launch, spec)
-        summary, = sink.by_kind("schedule")
-        assert summary["policy"] == "hardware"
-        assert summary["makespan_cycles"] == sched.makespan_cycles
 
 
 class TestTimeline:

@@ -1,7 +1,7 @@
 """One analysis per op: what the analysis memos save, and that they show.
 
 A memo can keep every output right and still lose its point (an op is
-analyzed again) or hide its work (a hit leaves no span and no event).
+analyzed again) or hide its work (a hit leaves no span).
 These tests count both on one budget-12 tuner search of the TLPGNN cell
 plus one search-level optimization of the FeatGraph cell, CR gcn.
 """
@@ -14,7 +14,6 @@ import pytest
 from repro.bench.harness import BenchConfig, get_dataset, make_features
 from repro.frameworks import SYSTEMS
 from repro.kernels import TLPGNNKernel
-from repro.obs.events import EventSink, set_event_sink
 from repro.obs.tracer import Tracer, set_tracer
 from repro.opt import AutoTuner, TunedPlanStore, optimize_plan
 from repro.plan import KernelOp
@@ -82,24 +81,6 @@ def test_each_op_is_analyzed_once_per_spec(cell, counted):
     )
     assert max(counter_stages.values()) == 1
     assert len(counter_stages) < tlpgnn_analyses
-
-
-def _schedule_events(cell):
-    sink = EventSink()
-    previous = set_event_sink(sink)
-    try:
-        _search(cell)
-    finally:
-        set_event_sink(previous)
-    return sink.by_kind("schedule")
-
-
-def test_hits_re_emit_the_schedule_events(cell, monkeypatch):
-    memoized = _schedule_events(cell)
-    # the reference: every call analyzes afresh, emitting as it goes
-    monkeypatch.setattr(KernelOp, "analyze", KernelOp._compute)
-    assert memoized
-    assert memoized == _schedule_events(cell)
 
 
 def test_hits_open_kernel_analyze_spans(cell, counted):

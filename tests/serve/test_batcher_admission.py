@@ -3,8 +3,8 @@
 The hypothesis property drives the *whole* service loop with a fake
 planner over randomized traces and configs, asserting the invariants
 ISSUE 2 pins: no request is ever dropped silently
-(``arrived == admitted + shed`` and ``admitted == completed`` after
-drain) and no emitted batch exceeds ``max_batch``.
+(``arrived == admitted + shed + refused`` and ``admitted == completed``
+after drain) and no emitted batch exceeds ``max_batch``.
 """
 
 import numpy as np
@@ -89,6 +89,13 @@ class TestAdmission:
         assert a.try_admit()
         assert a.arrived == a.admitted + a.shed
 
+    def test_refused_arrival_counted_apart_and_takes_no_slot(self):
+        a = AdmissionController(queue_depth=1)
+        a.refuse()
+        assert (a.arrived, a.admitted, a.shed, a.refused) == (1, 0, 0, 1)
+        assert a.try_admit()  # the refused arrival held no slot
+        assert a.arrived == a.admitted + a.shed + a.refused
+
     def test_release_validated(self):
         a = AdmissionController(queue_depth=2)
         a.try_admit()
@@ -153,6 +160,7 @@ class TestConservationProperty:
         report = InferenceService(planner, cfg).run(requests)
         # conservation: nothing dropped silently
         assert report.arrived == num_requests
+        assert report.refused == 0  # the fake planner serves everything
         assert report.arrived == report.admitted + report.shed
         assert report.admitted == report.completed
         # batch bound: never exceeds the configured max

@@ -1,5 +1,7 @@
 """End-to-end service: offline parity, batching amortization, obs wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from repro.bench import BenchConfig, get_dataset, make_features, run_system
 from repro.frameworks import SYSTEMS
 from repro.frameworks.base import UnsupportedModelError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import Request, ServableModel, ServeConfig, serve_trace
+from repro.serve import (
+    InferenceService,
+    Request,
+    ServableModel,
+    ServeConfig,
+    serve_trace,
+)
 
 CONFIG = BenchConfig(feat_dim=16, max_edges=60_000, seed=7)
 
@@ -105,6 +113,30 @@ class TestBatching:
         request = Request(rid=0, arrival_s=0.0, job="targets", targets=targets)
         with pytest.raises(ValueError, match=rf"target ids \[{targets[0]}\]"):
             model.plan([request])
+
+    def test_out_of_range_request_refused_and_the_rest_served(self):
+        # one bad request used to raise out of run() and lose the whole trace
+        model = servable("TLPGNN", abbr="CR")
+        cfg = ServeConfig(
+            job="targets", rate_hz=0.2 / model.offline_runtime_s,
+            num_requests=20, max_batch=4, window_s=1e-4, seed=11,
+        )
+        requests = cfg.trace(model.graph.num_vertices)
+        requests[7] = dataclasses.replace(requests[7], targets=(5, 2700))
+        report = InferenceService(model, cfg).run(requests)
+        assert not model.can_serve(requests[7])
+        assert (report.arrived, report.refused, report.shed) == (20, 1, 0)
+        assert report.admitted == report.completed == 19
+        served = {rec.request.rid for rec in report.accountant.records}
+        assert requests[7].rid not in served and len(served) == 19
+        assert "refused    : 1 request(s)" in report.summary()
+        registry = MetricsRegistry()
+        report.publish(registry)
+        refused = next(
+            rec for rec in registry.snapshot()
+            if rec["name"] == "serve_requests_refused"
+        )
+        assert refused["value"] == 1
 
     def test_two_streams_help_under_load(self):
         model = servable("TLPGNN")
