@@ -14,7 +14,7 @@ import numpy as np
 from repro.balance import choose_assignment
 from repro.bench import BenchConfig, get_dataset, make_features, run_system
 from repro.frameworks import TLPGNNEngine
-from repro.models import GATLayer
+from repro.models import GNNLayer
 
 
 def main() -> None:
@@ -34,8 +34,8 @@ def main() -> None:
     X = make_features(graph.num_vertices, 64, seed=7)
 
     # ---- full model forward (functional path) -------------------------
-    layer1 = GATLayer.init(64, 32, rng)
-    layer2 = GATLayer.init(32, 16, rng)
+    layer1 = GNNLayer.init("gat", 64, 32, rng)
+    layer2 = GNNLayer.init("gat", 32, 16, rng)
     h1 = layer1.forward(graph, X)
     h2 = layer2.forward(graph, h1, activation=False)
     print(f"2-layer GAT inference: {X.shape} -> {h1.shape} -> {h2.shape}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.graph import random_hetero
 from repro.kernels import TLPGNNKernel
-from repro.models import RGCNLayer, build_rgcn_convs
+from repro.models import RelationalLayer, build_conv
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  {name:>8}: {g.num_edges:>7,} edges, avg degree {g.avg_degree:.1f}")
 
     X = rng.standard_normal((hetero.num_vertices, 32), dtype=np.float32)
-    layer = RGCNLayer.init(hetero, 32, 16, rng)
+    layer = RelationalLayer.init(hetero, 32, 16, rng)
     out = layer.forward(hetero, X)
     print(f"\nR-GCN forward: {X.shape} -> {out.shape}")
 
@@ -37,8 +37,8 @@ def main() -> None:
     kernel = TLPGNNKernel()
     total_ms = 0.0
     print("\nper-relation convolution profiles (one fused kernel each):")
-    for name, workload in build_rgcn_convs(hetero, X).items():
-        res = kernel.execute(workload)
+    for name, g in hetero.relations.items():
+        res = kernel.execute(build_conv("rgcn", g, X))
         total_ms += res.timing.gpu_seconds * 1e3
         print(
             f"  {name:>8}: {res.timing.gpu_seconds * 1e3:7.4f} ms, "

@@ -10,7 +10,9 @@ gpusim      GPU execution model (spec, memory, occupancy, scheduling,
 kernels     Graph-convolution kernels: TLPGNN and the baselines the paper
             profiles (push, edge-centric, pull thread/warp, neighbor-group).
 balance     Hybrid dynamic workload assignment (Section 5).
-models      GCN / GIN / GraphSAGE / GAT conv semantics and layers.
+models      One GNN layer over any model registered in repro.mp (GCN,
+            GIN, GraphSAGE, GAT, R-GCN), the GCN classifier, and the
+            ConvWorkload carrier.
 frameworks  System baselines: DGL-like, GNNAdvisor-like, FeatGraph-like,
             and the TLPGNN engine.
 bench       Table/figure regeneration harness.

@@ -12,6 +12,7 @@ import numpy as np
 from ..frameworks import FeatGraphSystem, GNNAdvisorSystem, TLPGNNEngine
 from ..graph.datasets import DATASET_ORDER, FIG8_SEVEN, LARGE_FOUR
 from ..gpusim.scheduler import software_pool_schedule
+from ..mp import model_features
 from .harness import BenchConfig, get_dataset, make_features, run_system
 from .report import TableResult, fmt_mb, fmt_pct
 
@@ -98,10 +99,11 @@ def ablation_series(
     stages = stages or ABLATION_STAGES
     ds = get_dataset(abbr, config)
     X = make_features(ds.graph.num_vertices, config.feat_dim, seed=config.seed)
+    softmax = model_features(model).softmax
     out: dict[str, float] = {}
     for name, toggles in stages.items():
-        if name == "+Fusion" and model != "gat":
-            continue  # fusion stage only differs for GAT, as in the paper
+        if name == "+Fusion" and not softmax:
+            continue  # fusion only changes the attention (softmax) pipeline
         res = run_system(TLPGNNEngine(**toggles), model, ds, config, X=X)
         assert res is not None
         out[name] = res.runtime_ms
@@ -184,14 +186,15 @@ def fig11(
     headers = ["Model", "Data", *(str(b) for b in block_counts)]
     rows, records = [], []
     for model in models:
+        features = model_features(model)
         for abbr in datasets:
             degrees = sample_degree_sequence(abbr, seed=config.seed)
             counters = per_vertex_counters(
                 degrees,
                 config.feat_dim,
-                edge_scalar_loads=1 if model in ("gcn", "gat") else 0,
-                attention=model == "gat",
-                mean_reduce=model == "sage",
+                edge_scalar_loads=int(features.scale != "none"),
+                attention=features.softmax,
+                mean_reduce=features.op == "mean",
             )
             cycles = _warp_cycles(
                 spec,

@@ -65,11 +65,14 @@ def _obs2(config: BenchConfig) -> tuple[bool, str]:
     thread = PullThreadKernel().execute(wl, spec)
     warp = TLPGNNKernel(group_size=16, assignment="hardware").execute(wl, spec)
     ratio = thread.timing.gpu_seconds / warp.timing.gpu_seconds
-    spr_ratio = (
-        thread.stats.sectors_per_request / warp.stats.sectors_per_request
+    spr_t = thread.stats.sectors_per_request
+    spr_w = warp.stats.sectors_per_request
+    # paper: 27.3x, and 9.2 vs 2.1 sectors/request
+    ok = ratio > 4.0 and spr_t > 3 * spr_w and spr_w < 4.0
+    return ok, (
+        f"half-warp {ratio:.1f}x faster, sector/request "
+        f"{spr_t:.1f} vs {spr_w:.1f}"
     )
-    ok = ratio > 2.0 and spr_ratio > 3.0
-    return ok, f"half-warp {ratio:.1f}x faster, sector/request gap {spr_ratio:.1f}x"
 
 
 def _obs3(config: BenchConfig) -> tuple[bool, str]:

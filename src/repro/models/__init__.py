@@ -1,5 +1,8 @@
-"""GNN models (GCN, GIN, GraphSAGE, GAT): conv workload builders, full
-layers, and the shared ConvWorkload description kernels consume."""
+"""GNN models: one layer over any registered message-passing spec, the
+trainable GCN classifier, and the shared ConvWorkload kernels consume.
+
+The models themselves (GCN, GIN, GraphSAGE, GAT, R-GCN) are defined once,
+as specs registered in :mod:`repro.mp`."""
 
 from __future__ import annotations
 
@@ -8,11 +11,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from . import functional
 from .convspec import AttentionSpec, ConvWorkload, reference_aggregate
-from .gat import GATLayer, MultiHeadGATLayer, build_gat_conv
-from .gcn import GCNLayer, build_gcn_conv, gcn_norm
-from .gin import GINLayer, build_gin_conv
-from .rgcn import RGCNLayer, build_rgcn_convs
-from .sage import SAGELayer, build_sage_conv
+from .layers import GNNLayer, MultiHeadLayer, RelationalLayer
 from .training import GCNClassifier, cross_entropy, normalized_adjacency
 
 __all__ = [
@@ -20,18 +19,9 @@ __all__ = [
     "ConvWorkload",
     "AttentionSpec",
     "reference_aggregate",
-    "build_gcn_conv",
-    "gcn_norm",
-    "build_gin_conv",
-    "build_sage_conv",
-    "build_gat_conv",
-    "GCNLayer",
-    "GINLayer",
-    "SAGELayer",
-    "GATLayer",
-    "MultiHeadGATLayer",
-    "RGCNLayer",
-    "build_rgcn_convs",
+    "GNNLayer",
+    "MultiHeadLayer",
+    "RelationalLayer",
     "GCNClassifier",
     "cross_entropy",
     "normalized_adjacency",
@@ -57,11 +47,10 @@ def build_conv(
     resolves here.  GAT needs attention vectors; they are drawn from
     ``rng`` (default seeded) so repeated builds are reproducible.
     """
-    from ..mp import build_model
+    from ..mp import build_model, is_registered, registered_models
 
-    try:
-        return build_model(model, graph, X, rng=rng).workload()
-    except KeyError:
+    if not is_registered(model):
         raise ValueError(
-            f"unknown model {model!r}; known: {MODEL_NAMES}"
-        ) from None
+            f"unknown model {model!r}; registered: {registered_models()}"
+        )
+    return build_model(model, graph, X, rng=rng).workload()

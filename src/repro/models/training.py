@@ -17,15 +17,17 @@ import scipy.sparse as sp
 
 from ..graph.csr import CSRGraph
 from . import functional as F
-from .gcn import gcn_norm
 
 __all__ = ["GCNClassifier", "cross_entropy", "normalized_adjacency"]
 
 
 def normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
-    """Â = D̃^-1/2 (A + I) D̃^-1/2 as a sparse operator (float64)."""
-    weights, self_coeff = gcn_norm(graph)
-    adj = graph.to_scipy(weights=weights).astype(np.float64)
+    """Â = D̃^-1/2 (A + I) D̃^-1/2 as a sparse operator (float64): the
+    ``gcn`` spec's sym-norm edge weights plus its scaled self term."""
+    from ..mp import SelfTerm, SymNorm
+
+    adj = graph.to_scipy(weights=SymNorm().weights(graph)).astype(np.float64)
+    self_coeff = SelfTerm(kind="scaled").coeff(graph)
     return adj + sp.diags(self_coeff.astype(np.float64))
 
 

@@ -75,8 +75,8 @@ def _gat() -> tuple[MessageSpec, ReduceSpec]:
 
 def _rgcn() -> tuple[MessageSpec, ReduceSpec]:
     # one homogeneous relation of an R-GCN layer: plain neighbour mean;
-    # relation weights live in the dense phase (models/rgcn.py applies
-    # this spec once per relation graph)
+    # relation weights live in the dense phase (models.RelationalLayer
+    # applies this spec once per relation graph)
     return (MessageSpec(feature="src"), ReduceSpec(op="mean"))
 
 

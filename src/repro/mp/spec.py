@@ -58,6 +58,13 @@ class SymNorm:
     def signature(self) -> str:
         return "sym_norm"
 
+    def weights(self, graph: CSRGraph) -> np.ndarray:
+        """The per-edge weights ``1/sqrt((d_u+1)(d_v+1))`` in CSR order."""
+        inv_sqrt = 1.0 / np.sqrt(graph.in_degrees.astype(np.float64) + 1.0)
+        return (
+            np.repeat(inv_sqrt, graph.in_degrees) * inv_sqrt[graph.indices]
+        ).astype(np.float32)
+
 
 @dataclass(frozen=True, eq=False)
 class EdgeScalar:
@@ -94,17 +101,25 @@ class AttentionLogit:
     def signature(self) -> str:
         return f"attention[slope={self.negative_slope}]"
 
+    def vectors(
+        self, dim: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(a_src, a_dst)``.  If either is missing, two Xavier-uniform
+        (dim,) vectors are drawn from ``rng``, ``a_src``'s first, and each
+        fills its missing slot."""
+        a_src, a_dst = self.a_src, self.a_dst
+        if a_src is None or a_dst is None:
+            drawn_src = F.xavier_uniform((dim, 1), rng)[:, 0]
+            drawn_dst = F.xavier_uniform((dim, 1), rng)[:, 0]
+            a_src = drawn_src if a_src is None else a_src
+            a_dst = drawn_dst if a_dst is None else a_dst
+        return a_src, a_dst
+
     def bind(
         self, X: np.ndarray, rng: np.random.Generator
     ) -> AttentionSpec:
         """Resolve to the numeric per-vertex scalars of one (X, rng)."""
-        a_src, a_dst = self.a_src, self.a_dst
-        if a_src is None or a_dst is None:
-            f = X.shape[1]
-            drawn_src = F.xavier_uniform((f, 1), rng)[:, 0]
-            drawn_dst = F.xavier_uniform((f, 1), rng)[:, 0]
-            a_src = drawn_src if a_src is None else a_src
-            a_dst = drawn_dst if a_dst is None else a_dst
+        a_src, a_dst = self.vectors(X.shape[1], rng)
         # einsum reduces in its own loop; a BLAS gemv's summation order,
         # and so the output bytes, depends on the BLAS thread count
         return AttentionSpec(
@@ -295,9 +310,7 @@ def _compile(
     edge_weights = None
     attention = None
     if isinstance(scale, SymNorm):
-        from ..models.gcn import gcn_norm
-
-        edge_weights, _self = gcn_norm(graph)
+        edge_weights = scale.weights(graph)
     elif isinstance(scale, EdgeScalar):
         edge_weights = (
             np.ones(graph.num_edges, dtype=np.float32)

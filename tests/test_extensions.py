@@ -8,38 +8,38 @@ from repro.graph import HeteroGraph, erdos_renyi, random_hetero, sample_degree_s
 from repro.graph.datasets import DATASETS
 from repro.kernels import TLPGNNKernel
 from repro.models import (
-    GATLayer,
-    MultiHeadGATLayer,
-    RGCNLayer,
-    build_rgcn_convs,
+    GNNLayer,
+    MultiHeadLayer,
+    RelationalLayer,
+    build_conv,
     reference_aggregate,
 )
 
 
 class TestMultiHeadGAT:
     def test_concat_shape(self, small_random, rng):
-        layer = MultiHeadGATLayer.init(8, 4, 3, rng)
+        layer = MultiHeadLayer.init("gat", 8, 4, 3, rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         out = layer.forward(small_random, X)
         assert out.shape == (small_random.num_vertices, 12)
 
     def test_mean_shape(self, small_random, rng):
-        layer = MultiHeadGATLayer.init(8, 4, 3, rng, combine="mean")
+        layer = MultiHeadLayer.init("gat", 8, 4, 3, rng, combine="mean")
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         assert layer.forward(small_random, X).shape == (
             small_random.num_vertices, 4,
         )
 
     def test_single_head_matches_gat(self, small_random, rng):
-        head = GATLayer.init(8, 4, rng)
-        multi = MultiHeadGATLayer(heads=[head])
+        head = GNNLayer.init("gat", 8, 4, rng)
+        multi = MultiHeadLayer(heads=[head])
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         np.testing.assert_allclose(
             multi.forward(small_random, X), head.forward(small_random, X)
         )
 
     def test_head_workloads_run_on_fused_kernel(self, small_random, rng):
-        layer = MultiHeadGATLayer.init(8, 16, 2, rng)
+        layer = MultiHeadLayer.init("gat", 8, 16, 2, rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         kernel = TLPGNNKernel()
         for wl in layer.head_workloads(small_random, X):
@@ -48,9 +48,9 @@ class TestMultiHeadGAT:
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            MultiHeadGATLayer(heads=[])
+            MultiHeadLayer(heads=[])
         with pytest.raises(ValueError):
-            MultiHeadGATLayer.init(4, 4, 1, rng, combine="sum")
+            MultiHeadLayer.init("gat", 4, 4, 1, rng, combine="sum")
 
 
 class TestHeteroGraph:
@@ -80,18 +80,19 @@ class TestHeteroGraph:
 
     def test_rgcn_layer_matches_manual(self, hetero, rng):
         X = rng.standard_normal((50, 8), dtype=np.float32)
-        layer = RGCNLayer.init(hetero, 8, 4, rng)
+        layer = RelationalLayer.init(hetero, 8, 4, rng)
         out = layer.forward(hetero, X, activation=False)
-        manual = X @ layer.w_self
-        for name, wl in build_rgcn_convs(hetero, X).items():
-            manual = manual + reference_aggregate(wl) @ layer.w_rel[name]
+        manual = X @ layer.self_weight
+        for name, g in hetero.relations.items():
+            wl = build_conv("rgcn", g, X)
+            manual = manual + reference_aggregate(wl) @ layer.relations[name].weight
         np.testing.assert_allclose(out, manual, rtol=1e-4, atol=1e-5)
 
     def test_per_relation_kernels_atomic_free(self, hetero, rng):
         X = rng.standard_normal((50, 16), dtype=np.float32)
         kernel = TLPGNNKernel()
-        for wl in build_rgcn_convs(hetero, X).values():
-            stats, _ = kernel.analyze(wl)
+        for g in hetero.relations.values():
+            stats, _ = kernel.analyze(build_conv("rgcn", g, X))
             assert stats.atomic_ops == 0
 
 
