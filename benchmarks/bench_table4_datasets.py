@@ -6,7 +6,4 @@ from conftest import run_and_report
 
 
 def test_table4_datasets(benchmark, config):
-    result = run_and_report(benchmark, table4, config)
-    assert len(result.records) == 11
-    for rec in result.records:
-        assert rec["num_edges"] <= max(config.max_edges * 1.05, rec["num_vertices"])
+    run_and_report(benchmark, table4, config)

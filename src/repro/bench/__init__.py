@@ -1,5 +1,5 @@
 """Benchmark harness: regenerates every table and figure of the paper's
-evaluation section (Tables 1-5, Figures 8-12)."""
+evaluation section (Tables 1-5, Figures 8-12) and judges its shape claims."""
 
 from .figures import ABLATION_STAGES, ablation_series, fig8, fig9, fig10, fig11, fig12
 from .harness import (
@@ -18,8 +18,8 @@ from .harness import (
 from .report import TableResult, render_table
 from .serving import SERVING_SYSTEMS, serving_scenario, sustained_rate
 from .sweep import sweep_feature_dims, sweep_grid, sweep_scales
-from .tables import table1, table2, table3, table4, table5
-from .validate import CLAIMS, ClaimResult, validate_claims
+from .tables import design_space, table1, table2, table3, table4, table5
+from .validate import CLAIMS, ClaimResult, judge_result, validate_claims
 
 __all__ = [
     "BenchConfig",
@@ -46,6 +46,7 @@ __all__ = [
     "table3",
     "table4",
     "table5",
+    "design_space",
     "fig8",
     "fig9",
     "fig10",
@@ -53,6 +54,7 @@ __all__ = [
     "fig12",
     "ablation_series",
     "validate_claims",
+    "judge_result",
     "ClaimResult",
     "CLAIMS",
     "ABLATION_STAGES",

@@ -185,10 +185,13 @@ def fig11(
     warps_per_block = threads_per_block // spec.threads_per_warp
     headers = ["Model", "Data", *(str(b) for b in block_counts)]
     rows, records = [], []
+    degree_seqs = {
+        abbr: sample_degree_sequence(abbr, seed=config.seed) for abbr in datasets
+    }
     for model in models:
         features = model_features(model)
         for abbr in datasets:
-            degrees = sample_degree_sequence(abbr, seed=config.seed)
+            degrees = degree_seqs[abbr]
             counters = per_vertex_counters(
                 degrees,
                 config.feat_dim,

@@ -6,7 +6,9 @@ from ..frameworks import DGLSystem, FeatGraphSystem, GNNAdvisorSystem, TLPGNNEng
 from ..graph.datasets import DATASET_ORDER, DATASETS
 from ..kernels import (
     EdgeCentricKernel,
+    EdgeParallelWarpKernel,
     NeighborGroupKernel,
+    PullCTAKernel,
     PullThreadKernel,
     PushKernel,
     TLPGNNKernel,
@@ -17,7 +19,7 @@ from ..plan import cost_plan, time_parts
 from .harness import BenchConfig, get_dataset, make_features, run_system
 from .report import TableResult, fmt_mb, fmt_ms, fmt_pct
 
-__all__ = ["table1", "table2", "table3", "table4", "table5"]
+__all__ = ["table1", "table2", "table3", "table4", "table5", "design_space"]
 
 
 def _kernel_metrics(kernel, workload, spec) -> dict:
@@ -267,4 +269,42 @@ def table5(
         records=records,
         notes="'-' marks cells the paper also leaves blank (unimplemented "
         "models / GNNAdvisor capacity failures on the 4 largest graphs).",
+    )
+
+
+def design_space(config: BenchConfig | None = None) -> TableResult:
+    """The mapping choices behind the two-level paradigm, head to head on
+    the GCN convolution: thread, warp or CTA per vertex on ovcar_8h-like
+    (level 1, paper §4.2), and feature against edge parallelism inside the
+    warp on pokec-like (level 2, §4.3)."""
+    config = config or BenchConfig()
+    levels = {
+        1: ("OH", {
+            "thread": PullThreadKernel(),
+            "warp": TLPGNNKernel(assignment="hardware"),
+            "cta4": PullCTAKernel(warps_per_block=4),
+            "cta8": PullCTAKernel(warps_per_block=8),
+        }),
+        2: ("PI", {
+            "feature": TLPGNNKernel(assignment="hardware"),
+            "edge": EdgeParallelWarpKernel(),
+        }),
+    }
+    rows, records = [], []
+    for level, (abbr, kernels) in levels.items():
+        ds = get_dataset(abbr, config)
+        X = make_features(ds.graph.num_vertices, config.feat_dim, seed=config.seed)
+        workload = build_conv("gcn", ds.graph, X)
+        spec = config.spec_for(ds)
+        for mapping, kernel in kernels.items():
+            rec = _kernel_metrics(kernel, workload, spec)
+            records.append({"level": level, "mapping": mapping, **rec})
+            section = f"§4.{level + 1}"
+            rows.append([section, abbr, mapping, rec["kernel"], fmt_ms(rec["gpu_ms"])])
+    return TableResult(
+        exp_id="Design space",
+        title="Vertex mapping (§4.2) and within-warp looping (§4.3), GCN",
+        headers=["Level", "Data", "Mapping", "Kernel", "GPU time (ms)"],
+        rows=rows,
+        records=records,
     )

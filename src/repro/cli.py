@@ -24,6 +24,7 @@ from typing import Any
 
 from .bench import (
     ALL_EXPERIMENTS,
+    CLAIMS,
     GOLDEN_DATASETS,
     GOLDEN_MODELS,
     BenchConfig,
@@ -32,6 +33,7 @@ from .bench import (
     grid_cells,
     load_cell,
     run_system,
+    validate_claims,
     walk_grid,
 )
 from .frameworks import SYSTEMS
@@ -420,8 +422,6 @@ def cmd_report(args, config, out) -> int:
 
 
 def cmd_validate(args, config, out) -> int:
-    from .bench import validate_claims
-
     results = validate_claims(config, only=args.only)
     failed = 0
     for r in results:
@@ -429,6 +429,13 @@ def cmd_validate(args, config, out) -> int:
         failed += not r.passed
         print(f"[{status}] {r.claim_id}: {r.description}", file=out)
         print(f"       {r.detail}", file=out)
+    skipped = [
+        f"{cid} (stated at {claim.max_edges:,} edges)"
+        for cid, claim in CLAIMS.items()
+        if (not args.only or cid in args.only) and not claim.stated_at(config)
+    ]
+    if skipped:
+        print(f"\nskipped: {', '.join(skipped)}", file=out)
     print(f"\n{len(results) - failed}/{len(results)} claims hold", file=out)
     return 1 if failed else 0
 
@@ -1137,8 +1144,9 @@ COMMANDS: dict[str, Command] = {
     ),
     "validate": Command(
         cmd_validate, "check the paper's shape claims", "(exit 1 on failure)",
-        options=(_opt("--only", nargs="*",
-                      help="claim ids to run (default all)"),),
+        options=(_opt("--only", nargs="*", choices=list(CLAIMS),
+                      metavar="CLAIM", help="claim ids to run (default "
+                      f"all): {', '.join(CLAIMS)}"),),
     ),
     "report": Command(
         cmd_report, "regenerate every table & figure", "into one document",

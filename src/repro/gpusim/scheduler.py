@@ -218,8 +218,6 @@ def hardware_schedule(
     warp_cycles: np.ndarray,
     launch: LaunchConfig,
     spec: GPUSpec,
-    *,
-    slot_share: float = 1.0,
 ) -> ScheduleResult:
     """Hardware dynamic block scheduling of per-warp costs.
 
@@ -228,20 +226,14 @@ def hardware_schedule(
     intra-block imbalance the paper tunes warps-per-block against).  Blocks
     are then greedily distributed over the device's concurrent block slots,
     paying ``block_schedule_cycles`` each.
-
-    ``slot_share`` models concurrent-kernel residency (CUDA streams): a
-    kernel co-resident with others only gets that fraction of the device's
-    block slots, so its SM-side makespan stretches accordingly.
     """
-    if not 0.0 < slot_share <= 1.0:
-        raise ValueError("slot_share must be in (0, 1]")
     warp_cycles = np.asarray(warp_cycles, dtype=np.float64)
     wpb = launch.warps_per_block(spec.threads_per_warp)
     if warp_cycles.size == 0:
         return ScheduleResult(0.0, 0.0, 0.0, 0, "hardware")
     block_cost = block_max(warp_cycles, wpb)
     n_blocks = block_cost.size
-    slots = max(int(block_slots(launch, spec) * slot_share), 1)
+    slots = block_slots(launch, spec)
     makespan = greedy_makespan(
         block_cost, slots, per_task_overhead=spec.block_schedule_cycles
     )

@@ -74,6 +74,7 @@ from .effects import (
     cross_validate_effects,
     effect_table,
     is_transient,
+    reassociating_merges,
 )
 from .hazards import hazard_findings
 from .registry import RULES, RuleInfo, explain, make_finding, rule_info
@@ -145,6 +146,7 @@ __all__ = [
     "peak_footprint",
     "plan_symbols",
     "race_findings",
+    "reassociating_merges",
     "replay_schedule",
     "resource_findings",
     "rule_info",

@@ -39,6 +39,7 @@ __all__ = [
     "LaunchEnvelope",
     "KernelEffects",
     "effect_table",
+    "reassociating_merges",
     "conv_read_buffers",
     "is_transient",
     "cross_validate_effects",
@@ -170,6 +171,29 @@ def effect_table(
         launch=launch,
         atomic_ops=atomic_ops,
         reads_rng=reads_rng,
+    )
+
+
+#: reductions whose atomic merge is idempotent: merge order cannot change
+#: the result
+_IDEMPOTENT_REDUCES = ("max",)
+
+
+def reassociating_merges(
+    effects: KernelEffects, reduce: str | None
+) -> tuple[str, ...]:
+    """The float buffers ``effects`` merges atomically, whose bits follow
+    the hardware's arrival order; none under an idempotent ``reduce``.
+
+    The one merge-discipline predicate: DET001 warns on exactly these
+    buffers, and a plan's normal form is in the float-sum reassociation
+    class exactly when one of its ops has one.
+    """
+    if reduce in _IDEMPOTENT_REDUCES:
+        return ()
+    return tuple(
+        b.buffer for b in effects.buffers
+        if b.mode == "atomic" and b.dtype.startswith("f")
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..identity import content_key, owned_digest
-from ..lint import Finding, is_transient, make_finding
+from ..lint import Finding, is_transient, make_finding, reassociating_merges
 
 __all__ = [
     "ORDER_EXACT",
@@ -69,11 +69,6 @@ _SOURCE_CLASSES = {
     "edge_vals": "edge-scalar",
     "att": "att",
 }
-
-#: reductions whose atomic merge is idempotent — merge order cannot
-#: change the result, so atomics still land in the exact ordering class
-_IDEMPOTENT_REDUCES = ("max",)
-
 
 def plan_label(plan: Any) -> str:
     """The same "System/model on graph" label the lint reports use."""
@@ -190,24 +185,23 @@ def _scale_term(workload: Any) -> tuple[str, ...]:
     return ("unit",)
 
 
-def _ordering_class(conv: Any, workload: Any) -> str | None:
-    """Derive the merge discipline of the plan's compute kernel launch.
+def _ordering_class(plan: Any, workload: Any) -> str | None:
+    """Derive the merge discipline of the plan's launches.
 
-    A plan without a conv op computes in a single serial pass — exact.
-    Otherwise the class follows from the conv op's stored effect table:
-    exclusive writes are exact; atomic merges are exact only for
-    idempotent reductions and fall into the float-sum reassociation
-    class otherwise.  A conv op without an effect table is unprovable
-    (None); the dataflow closure reports it as EQ001.
+    A plan is in the float-sum reassociation class exactly when one of its
+    ops merges a float buffer atomically under a non-idempotent reduce
+    (:func:`~repro.lint.reassociating_merges`, DET001's predicate);
+    otherwise every merge is exclusive or order-free, and the class is
+    exact.  A conv op without an effect table is unprovable (None); the
+    dataflow closure reports it as EQ001.
     """
-    if conv is None:
-        return ORDER_EXACT
-    effects = conv.effects
-    if effects is None:
+    conv = plan.conv_op
+    if conv is not None and conv.effects is None:
         return None
-    if "out" in effects.atomics or effects.atomic_ops > 0:
-        if workload.reduce in _IDEMPOTENT_REDUCES:
-            return ORDER_EXACT  # idempotent merge: order-free
+    if any(
+        op.effects is not None and reassociating_merges(op.effects, workload.reduce)
+        for op in plan.ops
+    ):
         return ORDER_FLOAT_SUM
     return ORDER_EXACT
 
@@ -268,7 +262,7 @@ def normalize_plan(plan: Any) -> PlanNormalForm:
     """
     compute = plan.compute
     workload = compute.workload
-    ordering = _ordering_class(plan.conv_op, workload)
+    ordering = _ordering_class(plan, workload)
     sources, findings = _dataflow_sources(plan.ops)
     term = ProducerTerm(
         buffer="out",

@@ -12,6 +12,7 @@ from repro.bench import (
     fig11,
     fig12,
     get_dataset,
+    judge_result,
     run_comparison,
     table1,
     table2,
@@ -66,12 +67,9 @@ class TestTables:
     def test_table4_covers_registry(self):
         t = table4(CFG)
         assert len(t.rows) == 11
-        # loaded average degree matches the paper spec within tolerance
-        for rec in t.records:
-            from repro.graph import DATASETS
-
-            spec = DATASETS[rec["abbr"]]
-            assert rec["avg_degree"] == pytest.approx(spec.avg_degree, rel=0.06)
+        # every stand-in within its edge cap and 6% of the paper's degree
+        (verdict,) = judge_result(table4, t, CFG)
+        assert verdict.passed, verdict.detail
 
     def test_table5_subset(self):
         t = table5(CFG, models=("gcn",), datasets=("CR", "RD"))

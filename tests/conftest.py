@@ -31,6 +31,16 @@ def _fresh_plan_cache():
         cache.clear()
 
 
+@pytest.fixture(scope="session")
+def claim_verdicts():
+    """Every claim stated at 150k edges (seed 7), judged on one
+    regeneration of the evaluation that the whole session shares."""
+    from repro.bench import BenchConfig, validate_claims
+
+    config = BenchConfig(max_edges=150_000, seed=7)
+    return {v.claim_id: v for v in validate_claims(config)}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

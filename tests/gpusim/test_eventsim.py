@@ -29,17 +29,16 @@ def _launch(wpb=4):
     return LaunchConfig(num_blocks=1, threads_per_block=wpb * 32)
 
 
-def _blocks(warp_cycles, launch, spec=V100, *, slot_share=1.0):
+def _blocks(warp_cycles, launch, spec=V100):
     """The hardware distributor's placements: consecutive warps grouped
     into the launch's blocks, each holding its slot for its slowest warp
-    plus ``block_schedule_cycles``, on the kernel's share of the block
-    slots.  Returns the modeled schedule alongside."""
+    plus ``block_schedule_cycles``, on the device's block slots.  Returns
+    the modeled schedule alongside."""
     warp_cycles = np.asarray(warp_cycles, dtype=np.float64)
-    sched = hardware_schedule(warp_cycles, launch, spec, slot_share=slot_share)
+    sched = hardware_schedule(warp_cycles, launch, spec)
     wpb = launch.warps_per_block(spec.threads_per_warp)
-    slots = max(int(block_slots(launch, spec) * slot_share), 1)
     placed = place(
-        block_max(warp_cycles, wpb), slots,
+        block_max(warp_cycles, wpb), block_slots(launch, spec),
         per_task_overhead=spec.block_schedule_cycles,
     )
     return placed, sched
@@ -112,26 +111,6 @@ class TestHardwareEventSim:
         cycles = rng.pareto(1.8, size=30_000) * 50 + 10
         placed, sched = _blocks(cycles, _launch(4))
         assert sched.makespan_cycles == _makespan(placed)
-
-    def test_slot_share_stretches_makespan(self):
-        cycles = np.full(200_000, 50.0)
-        launch = _launch(1)
-        full, _ = _blocks(cycles, launch)
-        half, sched = _blocks(cycles, launch, slot_share=0.5)
-        assert sched.makespan_cycles == _makespan(half)
-        assert _makespan(half) == pytest.approx(2.0 * _makespan(full), rel=0.05)
-
-    def test_slot_share_validated(self):
-        cycles = np.ones(4)
-        for bad in (0.0, 1.5):
-            with pytest.raises(ValueError, match="slot_share"):
-                _blocks(cycles, _launch(1), slot_share=bad)
-        # a share too small for one slot still runs, on a single slot
-        placed, sched = _blocks(cycles, _launch(1), slot_share=1e-9)
-        assert set(placed.worker.tolist()) == {0}
-        assert sched.makespan_cycles == _makespan(placed) == pytest.approx(
-            4 * (1.0 + V100.block_schedule_cycles)
-        )
 
 
 class TestPoolEventSim:

@@ -138,23 +138,6 @@ class TestHardwareSchedule:
         assert r1.overhead_cycles > 0
         assert r1.policy == "hardware"
 
-    def test_slot_share_stretches_makespan(self):
-        # a co-resident kernel on half the block slots takes ~2x as long
-        # once the device is saturated with uniform blocks
-        cycles = np.ones(200_000) * 50.0
-        launch = LaunchConfig(num_blocks=1, threads_per_block=32)
-        full = hardware_schedule(cycles, launch, V100)
-        half = hardware_schedule(cycles, launch, V100, slot_share=0.5)
-        assert half.makespan_cycles == pytest.approx(
-            2.0 * full.makespan_cycles, rel=0.05
-        )
-
-    def test_slot_share_validated(self):
-        launch = LaunchConfig(num_blocks=1, threads_per_block=32)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="slot_share"):
-                hardware_schedule(np.ones(4), launch, V100, slot_share=bad)
-
 
 class TestStaticSchedule:
     def test_static_never_beats_dynamic_on_skew(self):

@@ -363,6 +363,19 @@ class TestValidateAndReport:
         assert "[PASS] table5-dashes" in out
         assert "1/1 claims hold" in out
 
+    def test_validate_refuses_unknown_claim(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*ARGS, "validate", "--only", "obs1-atomic"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "obs1-atomics" in err  # the valid ids
+
+    def test_validate_names_claims_of_another_scale(self):
+        code, out = run_cli(*ARGS, "validate", "--only", "fig12-512")
+        assert code == 0
+        assert "skipped: fig12-512 (stated at 2,000,000 edges)" in out
+        assert "0/0 claims hold" in out
+
     def test_report_to_file(self, tmp_path):
         target = tmp_path / "report.txt"
         code, out = run_cli(*ARGS, "report", "--out", str(target))

@@ -2,156 +2,50 @@
 
 These assert the *shape* of the evaluation: who wins, directionally by how
 much, and where the paper's profiling observations show up in the model.
+Every bound lives in ``repro.bench.validate.CLAIMS``; each test asserts the
+verdict of the claims that hold its bound, judged on the session's one
+regeneration at 150k edges (the ``claim_verdicts`` fixture).
 """
 
-import numpy as np
 import pytest
 
-from repro.bench import BenchConfig, ablation_series, get_dataset, make_features, run_system
-from repro.frameworks import DGLSystem, FeatGraphSystem, GNNAdvisorSystem, TLPGNNEngine
-from repro.kernels import (
-    EdgeCentricKernel,
-    NeighborGroupKernel,
-    PullThreadKernel,
-    PushKernel,
-    TLPGNNKernel,
-)
-from repro.models import build_conv
 
-#: reduced scale so the whole module stays fast
-CFG = BenchConfig(max_edges=150_000, seed=7)
+def _assert_hold(verdicts, *claim_ids):
+    failed = {c: verdicts[c].detail for c in claim_ids if not verdicts[c].passed}
+    assert not failed
 
 
-def _runtime(system, model, abbr, feat=32):
-    cfg = BenchConfig(feat_dim=feat, max_edges=CFG.max_edges, seed=CFG.seed)
-    ds = get_dataset(abbr, cfg)
-    res = run_system(system, model, ds, cfg)
-    assert res is not None
-    return res.runtime_ms
+def _holds(*claim_ids):
+    """A test method asserting that the named claims hold."""
+    return lambda self, claim_verdicts: _assert_hold(claim_verdicts, *claim_ids)
 
 
 class TestObservationI:
     """Atomic writes drastically lower performance (Table 1)."""
 
-    @pytest.fixture(scope="class")
-    def table1_metrics(self):
-        cfg = BenchConfig(feat_dim=128, max_edges=CFG.max_edges, seed=CFG.seed)
-        ds = get_dataset("OH", cfg)
-        X = make_features(ds.graph.num_vertices, 128, seed=7)
-        wl = build_conv("gcn", ds.graph, X)
-        spec = cfg.spec_for(ds)
-        out = {}
-        for name, k in {
-            "push": PushKernel(),
-            "edge": EdgeCentricKernel(),
-            "gnna": NeighborGroupKernel(),
-            "pull": TLPGNNKernel(assignment="hardware"),
-        }.items():
-            res = k.execute(wl, spec)
-            out[name] = res
-        return out
-
-    def test_pull_fastest(self, table1_metrics):
-        t = {k: v.timing.gpu_seconds for k, v in table1_metrics.items()}
-        assert t["pull"] < min(t["push"], t["edge"], t["gnna"])
-
-    def test_pull_speedup_in_paper_range(self, table1_metrics):
-        t = {k: v.timing.gpu_seconds for k, v in table1_metrics.items()}
-        # paper: 1.8x / 1.6x / 5.8x over push / edge / GNNAdvisor
-        assert 1.2 < t["push"] / t["pull"] < 6.0
-        assert 1.2 < t["edge"] / t["pull"] < 6.0
-        assert 1.2 < t["gnna"] / t["pull"] < 12.0
-
-    def test_pull_has_no_atomic_traffic(self, table1_metrics):
-        assert table1_metrics["pull"].stats.atomic_bytes == 0
-        for k in ("push", "edge", "gnna"):
-            assert table1_metrics[k].stats.atomic_bytes > 0
-
-    def test_pull_highest_sm_utilization(self, table1_metrics):
-        u = {k: v.timing.sm_utilization for k, v in table1_metrics.items()}
-        assert u["pull"] >= max(u["push"], u["edge"], u["gnna"])
-
-    def test_pull_lowest_stall(self, table1_metrics):
-        s = {k: v.timing.stall_scoreboard_cycles for k, v in table1_metrics.items()}
-        assert s["pull"] <= min(s["push"], s["edge"], s["gnna"])
+    test_pull_fastest = _holds("obs1-atomics")
+    test_pull_speedup_in_paper_range = _holds("obs1-atomics")
+    test_pull_has_no_atomic_traffic = _holds("obs1-atomics")
+    test_pull_highest_sm_utilization = _holds("obs1-atomics")
+    test_pull_lowest_stall = _holds("obs1-atomics")
 
 
 class TestObservationII:
     """Coalesced access: warp-mapping crushes thread-mapping (Table 2)."""
 
-    @pytest.fixture(scope="class")
-    def table2_metrics(self):
-        cfg = BenchConfig(feat_dim=128, max_edges=CFG.max_edges, seed=CFG.seed)
-        ds = get_dataset("OH", cfg)
-        X = make_features(ds.graph.num_vertices, 128, seed=7)
-        wl = build_conv("gcn", ds.graph, X)
-        spec = cfg.spec_for(ds)
-        return {
-            "thread": PullThreadKernel().execute(wl, spec),
-            "half_warp": TLPGNNKernel(
-                group_size=16, assignment="hardware"
-            ).execute(wl, spec),
-        }
-
-    def test_half_warp_much_faster(self, table2_metrics):
-        ratio = (
-            table2_metrics["thread"].timing.gpu_seconds
-            / table2_metrics["half_warp"].timing.gpu_seconds
-        )
-        assert ratio > 4.0  # paper: 27.3x
-
-    def test_sector_per_request_gap(self, table2_metrics):
-        spr_t = table2_metrics["thread"].stats.sectors_per_request
-        spr_w = table2_metrics["half_warp"].stats.sectors_per_request
-        assert spr_t > 3 * spr_w  # paper: 9.2 vs 2.1
-        assert spr_w < 4.0
-
-    def test_stall_gap(self, table2_metrics):
-        assert (
-            table2_metrics["thread"].timing.stall_scoreboard_cycles
-            > table2_metrics["half_warp"].timing.stall_scoreboard_cycles
-        )
+    test_half_warp_much_faster = _holds("obs2-coalescing")
+    test_sector_per_request_gap = _holds("obs2-coalescing")
+    test_stall_gap = _holds("obs2-coalescing")
 
 
 class TestObservationIII:
     """Fewer kernels win (Table 3): one < three < DGL-18 for GAT."""
 
-    @pytest.fixture(scope="class")
-    def table3(self):
-        from repro.bench import table3 as t3
-
-        cfg = BenchConfig(feat_dim=32, max_edges=CFG.max_edges, seed=CFG.seed)
-        return {r["config"]: r for r in t3(cfg).records}
-
-    def test_kernel_counts(self, table3):
-        assert table3["DGL"]["kernels"] == 18
-        assert table3["Three-Kernel"]["kernels"] == 3
-        assert table3["One-Kernel"]["kernels"] == 1
-
-    def test_runtime_ordering(self, table3):
-        assert (
-            table3["One-Kernel"]["runtime"]
-            < table3["Three-Kernel"]["runtime"]
-            < table3["DGL"]["runtime"]
-        )
-
-    def test_launch_overhead_ordering(self, table3):
-        gap = {k: v["runtime"] - v["gpu"] for k, v in table3.items()}
-        assert gap["One-Kernel"] < gap["Three-Kernel"] < gap["DGL"]
-
-    def test_memory_usage_ordering(self, table3):
-        assert (
-            table3["One-Kernel"]["usage"]
-            < table3["Three-Kernel"]["usage"]
-            < table3["DGL"]["usage"]
-        )
-
-    def test_traffic_ordering(self, table3):
-        assert (
-            table3["One-Kernel"]["traffic"]
-            < table3["Three-Kernel"]["traffic"]
-            < table3["DGL"]["traffic"]
-        )
+    test_kernel_counts = _holds("obs3-fusion")
+    test_runtime_ordering = _holds("obs3-fusion")
+    test_launch_overhead_ordering = _holds("obs3-fusion")
+    test_memory_usage_ordering = _holds("obs3-fusion")
+    test_traffic_ordering = _holds("obs3-fusion")
 
 
 class TestMainComparison:
@@ -159,64 +53,23 @@ class TestMainComparison:
 
     @pytest.mark.parametrize("model", ["gcn", "gat"])
     @pytest.mark.parametrize("abbr", ["CR", "PI", "RD"])
-    def test_tlpgnn_wins(self, model, abbr):
-        ours = _runtime(TLPGNNEngine(), model, abbr)
-        for factory in (DGLSystem, FeatGraphSystem):
-            assert ours < _runtime(factory(), model, abbr)
+    def test_tlpgnn_wins(self, model, abbr, claim_verdicts):
+        _assert_hold(claim_verdicts, "table5-wins")
 
-    def test_tlpgnn_beats_gnnadvisor(self):
-        ours = _runtime(TLPGNNEngine(), "gcn", "PD")
-        theirs = _runtime(GNNAdvisorSystem(), "gcn", "PD")
-        assert ours < theirs
+    test_tlpgnn_beats_gnnadvisor = _holds("table5-wins")
 
 
 class TestAblation:
     """Figure 10 shape: each cumulative technique helps."""
 
-    @pytest.fixture(scope="class")
-    def series(self):
-        return {
-            "gcn": ablation_series("gcn", "PI", CFG),
-            "gat": ablation_series("gat", "PI", CFG),
-        }
-
-    def test_tlp_helps(self, series):
-        assert series["gcn"]["+TLP"] < series["gcn"]["Baseline"]
-
-    def test_cache_helps(self, series):
-        assert series["gcn"]["+Cache"] <= series["gcn"]["+Hybrid"]
-
-    def test_fusion_helps_gat(self, series):
-        assert series["gat"]["+Fusion"] < series["gat"]["+Cache"]
-
-    def test_total_speedup_substantial(self, series):
-        total = series["gcn"]["Baseline"] / series["gcn"]["+Cache"]
-        assert total > 1.5  # paper: ~12.9x averaged over all datasets
+    test_tlp_helps = _holds("fig10-ablation")
+    test_cache_helps = _holds("fig10-ablation")
+    test_fusion_helps_gat = _holds("fig10-ablation")
+    test_total_speedup_substantial = _holds("fig10-ablation")
 
 
 class TestScalability:
-    def test_thread_count_scaling_near_linear(self):
-        """Figure 11: speedup grows strongly with resident blocks.  Run at
-        the default (largest) scale — thread scaling needs enough total work
-        relative to the hub."""
-        from repro.bench import fig11
-
-        t = fig11(BenchConfig(seed=7), models=("gcn",), datasets=("RD",),
-                  block_counts=(1, 8, 64, 128))
-        sp = t.records[0]["speedups"]
-        assert sp[0] == 1.0
-        assert sp[1] > 5.0
-        assert sp[2] > 30.0
-        assert sp[3] > 45.0  # paper: 67.5x average at 128 blocks
-
-    def test_feature_size_scaling_linearish(self):
-        """Figure 12: runtime grows roughly linearly with feature size, and
-        size-16 pays less than half-rate (idle lanes are cheap)."""
-        from repro.bench import fig12
-
-        t = fig12(CFG, models=("gcn",), datasets=("RD",),
-                  feat_sizes=(16, 32, 128))
-        norm = t.records[0]["normalized"]
-        assert norm[0] == 1.0
-        assert norm[1] < 2.0  # 32 dims less than 2x the 16-dim time
-        assert 4.0 < norm[2] < 24.0  # ~8x linear, superlinear like the paper
+    test_thread_count_scaling_near_linear = _holds("fig11-thread-scaling")
+    test_feature_size_scaling_linearish = _holds(
+        "fig12-feature-scaling", "fig12-size16"
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.frameworks import SYSTEMS
 from repro.kernels import EdgeCentricKernel, PullThreadKernel, TLPGNNKernel
+from repro.lint import determinism_findings
 from repro.lint.effects import LaunchEnvelope, effect_table
 from repro.mp import MessageSpec, ReduceSpec, bind
 from repro.opt import optimize_plan
@@ -33,6 +34,23 @@ def _conv_plan(kernel, workload):
     )
 
 
+class _AtomicMerge:
+    """A kernel double that merges ``out`` atomically."""
+
+    name = "atomic-merge"
+
+    def effects(self, workload):
+        return effect_table(
+            reads=("indptr", "indices", "feat"), atomics=("out",),
+            atomic_ops=64, launch=ENV,
+        )
+
+
+def _atomic_merge_plan(workload, reduce):
+    w = replace(workload, edge_weights=None, reduce=reduce)
+    return _conv_plan(_AtomicMerge(), w)
+
+
 class TestOrderingClasses:
     def test_exclusive_kernel_is_exact(self, tiny_workload):
         nf = normalize_plan(plan_for_kernel(TLPGNNKernel(), tiny_workload))
@@ -51,21 +69,27 @@ class TestOrderingClasses:
         nf = normalize_plan(plan)
         assert nf.terms[0].ordering == ORDER_EXACT
 
+    def test_atomic_scatter_outside_the_conv_op_is_reassociation_class(
+        self, cr_cell
+    ):
+        # DGL's GAT has no conv op: its spmm_coo_atomic launch merges the
+        # weighted aggregation into tmp:aggw with float atomics
+        ds, X, spec, _ = cr_cell
+        plan = SYSTEMS["DGL"]().lower("gat", ds, X, spec)
+        assert plan.conv_op is None
+        assert normalize_plan(plan).terms[0].ordering == ORDER_FLOAT_SUM
+        assert [f.buffer for f in determinism_findings(plan)] == ["tmp:aggw"]
+
     def test_idempotent_atomic_merge_is_exact(self, tiny_workload):
         # an atomic max merge cannot observe arrival order: any merge
         # order yields the same result, so the class normalizes to exact
-        class _AtomicMax:
-            name = "atomic-max"
-
-            def effects(self, workload):
-                return effect_table(
-                    reads=("indptr", "indices", "feat"), atomics=("out",),
-                    atomic_ops=64, launch=ENV,
-                )
-
-        w = replace(tiny_workload, edge_weights=None, reduce="max")
-        plan = _conv_plan(_AtomicMax(), w)
+        plan = _atomic_merge_plan(tiny_workload, "max")
         assert normalize_plan(plan).terms[0].ordering == ORDER_EXACT
+
+    def test_idempotent_atomic_merge_draws_no_det001(self, tiny_workload):
+        assert determinism_findings(_atomic_merge_plan(tiny_workload, "max")) == []
+        summed = _atomic_merge_plan(tiny_workload, "sum")
+        assert [f.rule for f in determinism_findings(summed)] == ["DET001"]
 
     def test_effectless_kernel_is_unprovable(self, tiny_workload):
         class _Opaque:
