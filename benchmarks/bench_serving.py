@@ -28,10 +28,7 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 def test_serving_comparison(benchmark):
     cfg = BenchConfig(max_edges=MAX_EDGES, seed=SEED)
-    result = run_and_report(
-        benchmark, serving_scenario, cfg, datasets=("CS", "CR"),
-        num_requests=120,
-    )
+    result = run_and_report(benchmark, serving_scenario, cfg)
     by_cell = {
         (r["dataset"], r["system"]): r
         for r in result.records

@@ -33,8 +33,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 def run_and_report(benchmark, fn, config):
     """Run a regenerator once under the benchmark clock, print it, persist
-    the rendered table to ``benchmarks/results/``, and assert every claim
-    on its result that is stated at ``config``'s scale."""
+    the rendered table to ``benchmarks/results/``, and assert the claims
+    stated at ``config``'s scale that read its result, if any do."""
     result = benchmark.pedantic(fn, args=(config,), rounds=1, iterations=1)
     rendered = result.render()
     print()
@@ -46,7 +46,6 @@ def run_and_report(benchmark, fn, config):
     benchmark.extra_info["exp_id"] = result.exp_id
     benchmark.extra_info["rows"] = result.rows
     verdicts = judge_result(fn, result, config)
-    assert verdicts, f"no claim reads {fn.__name__}"
     failed = {v.claim_id: v.detail for v in verdicts if not v.passed}
     assert not failed
     return result

@@ -19,7 +19,7 @@ from .report import TableResult, render_table
 from .serving import SERVING_SYSTEMS, serving_scenario, sustained_rate
 from .sweep import sweep_feature_dims, sweep_grid, sweep_scales
 from .tables import design_space, table1, table2, table3, table4, table5
-from .validate import CLAIMS, ClaimResult, judge_result, validate_claims
+from .validate import CLAIMS, ClaimResult, judge_result, select_claims, validate_claims
 
 __all__ = [
     "BenchConfig",
@@ -55,6 +55,7 @@ __all__ = [
     "ablation_series",
     "validate_claims",
     "judge_result",
+    "select_claims",
     "ClaimResult",
     "CLAIMS",
     "ABLATION_STAGES",

@@ -26,7 +26,8 @@ from .harness import BenchConfig
 from .report import TableResult, fmt_mb
 from .tables import design_space, table1, table2, table3, table4, table5
 
-__all__ = ["CLAIMS", "Claim", "ClaimResult", "judge_result", "validate_claims"]
+__all__ = ["CLAIMS", "Claim", "ClaimResult", "judge_result", "select_claims",
+           "validate_claims"]
 
 Records = list[dict]
 Verdict = tuple[bool, str]
@@ -269,6 +270,16 @@ def _judge(claim_id: str, claim: Claim, records: Records | Exception) -> ClaimRe
     return ClaimResult(claim_id, claim.statement, bool(passed), detail)
 
 
+def select_claims(
+    config: BenchConfig, only: Sequence[str] | None = None
+) -> tuple[dict[str, Claim], dict[str, Claim]]:
+    """Split the claims (or those in ``only``) into those stated at
+    ``config``'s scale and those stated at another."""
+    chosen = {cid: c for cid, c in CLAIMS.items() if not only or cid in only}
+    stated = {cid: c for cid, c in chosen.items() if c.stated_at(config)}
+    return stated, {cid: c for cid, c in chosen.items() if cid not in stated}
+
+
 def judge_result(
     regenerator: Callable[[BenchConfig], TableResult],
     result: TableResult,
@@ -276,10 +287,9 @@ def judge_result(
 ) -> list[ClaimResult]:
     """Verdicts of the claims on one regenerated result that are stated at
     ``config``'s scale."""
-    return [
-        _judge(cid, claim, result.records) for cid, claim in CLAIMS.items()
-        if claim.regenerator is regenerator and claim.stated_at(config)
-    ]
+    stated, _ = select_claims(config)
+    return [_judge(cid, c, result.records) for cid, c in stated.items()
+            if c.regenerator is regenerator]
 
 
 def validate_claims(
@@ -291,10 +301,7 @@ def validate_claims(
     scale, regenerating each experiment they read once.  Never raises on a
     failed claim or a failed regeneration."""
     config = config or BenchConfig(max_edges=150_000)
-    claims = {
-        cid: claim for cid, claim in CLAIMS.items()
-        if (not only or cid in only) and claim.stated_at(config)
-    }
+    claims, _ = select_claims(config, only)
     records: dict[Callable, Records | Exception] = {}
     for regenerator in dict.fromkeys(c.regenerator for c in claims.values()):
         try:

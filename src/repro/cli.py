@@ -33,6 +33,7 @@ from .bench import (
     grid_cells,
     load_cell,
     run_system,
+    select_claims,
     validate_claims,
     walk_grid,
 )
@@ -429,11 +430,8 @@ def cmd_validate(args, config, out) -> int:
         failed += not r.passed
         print(f"[{status}] {r.claim_id}: {r.description}", file=out)
         print(f"       {r.detail}", file=out)
-    skipped = [
-        f"{cid} (stated at {claim.max_edges:,} edges)"
-        for cid, claim in CLAIMS.items()
-        if (not args.only or cid in args.only) and not claim.stated_at(config)
-    ]
+    _, other = select_claims(config, args.only)
+    skipped = [f"{cid} (stated at {c.max_edges:,} edges)" for cid, c in other.items()]
     if skipped:
         print(f"\nskipped: {', '.join(skipped)}", file=out)
     print(f"\n{len(results) - failed}/{len(results)} claims hold", file=out)

@@ -4,7 +4,9 @@ per experiment, error containment."""
 from dataclasses import replace
 from pathlib import Path
 
-from repro.bench import CLAIMS, BenchConfig, design_space, validate_claims
+from repro.bench import (
+    ALL_EXPERIMENTS, CLAIMS, BenchConfig, design_space, validate_claims,
+)
 from repro.bench.validate import ClaimResult
 
 CFG = BenchConfig(max_edges=60_000, seed=7)
@@ -24,6 +26,10 @@ class TestRegistry:
         text = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text()
         scorecard = text.split("## Summary scorecard")[1].split("\n## ")[0]
         assert [cid for cid in CLAIMS if f"`{cid}`" not in scorecard] == []
+
+    def test_every_regenerator_has_a_claim(self):
+        read = {claim.regenerator for claim in CLAIMS.values()}
+        assert {*ALL_EXPERIMENTS.values(), design_space} <= read
 
     def test_descriptions_nonempty(self):
         for claim in CLAIMS.values():
