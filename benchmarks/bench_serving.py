@@ -5,9 +5,11 @@ GNNAdvisor served through ``repro.serve`` (dynamic micro-batching, two
 streams, bounded admission) and reports the highest offered rate each
 system sustains with zero shed requests and p99 under the SLO.
 
-Also measures the plan-cache host-side win (ISSUE 3): deploying the same
-servable twice, the second offline profile hits the
-:class:`repro.plan.PlanCache` and must cost measurably less wall time.
+Also measures the plan-cache host-side win: deploying the same
+servable twice, the first offline profile lowers and analyzes the
+pipeline without executing it, and the second hits the
+:class:`repro.plan.PlanCache`, skipping both, so it must cost measurably
+less wall time.
 """
 
 import os

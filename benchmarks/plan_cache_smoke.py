@@ -1,9 +1,10 @@
 """Plan-cache smoke check (CI): three identical in-process serve passes.
 
-The first ``repro serve --smoke`` pass lowers, executes, and analyzes the
-offline pipeline (a plan-cache miss); the second pass must hit the
-process-wide :class:`repro.plan.PlanCache`, report ``plan_cache_hit > 0``
-through the shared metrics registry, and finish in less host wall time.
+The first ``repro serve --smoke`` pass profiles the offline pipeline: it
+lowers and analyzes it, and never executes it (a plan-cache miss).  The
+second pass must hit the process-wide :class:`repro.plan.PlanCache`,
+report ``plan_cache_hit > 0`` through the shared metrics registry, and
+finish in less host wall time.
 The third pass runs with a :class:`repro.obs.Tracer` installed: tracing
 must not bypass the cache, so it too adds to ``plan_cache_hit`` and
 records a ``plan.cache.hit`` span.

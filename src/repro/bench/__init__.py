@@ -11,6 +11,7 @@ from .harness import (
     grid_cells,
     load_cell,
     make_features,
+    profile_system,
     run_comparison,
     run_system,
     walk_grid,
@@ -32,6 +33,7 @@ __all__ = [
     "make_features",
     "walk_grid",
     "run_system",
+    "profile_system",
     "run_comparison",
     "TableResult",
     "render_table",

@@ -13,7 +13,7 @@ from ..frameworks import FeatGraphSystem, GNNAdvisorSystem, TLPGNNEngine
 from ..graph.datasets import DATASET_ORDER, FIG8_SEVEN, LARGE_FOUR
 from ..gpusim.scheduler import software_pool_schedule
 from ..mp import model_features
-from .harness import BenchConfig, get_dataset, make_features, run_system
+from .harness import BenchConfig, get_dataset, make_features, profile_system
 from .report import TableResult, fmt_mb, fmt_pct
 
 __all__ = ["fig8", "fig9", "fig10", "fig11", "fig12", "ablation_series"]
@@ -31,7 +31,7 @@ def fig8(config: BenchConfig | None = None) -> TableResult:
         row = [model.upper()]
         for abbr in FIG8_SEVEN:
             ds = get_dataset(abbr, config)
-            res = run_system(GNNAdvisorSystem(), model, ds, config)
+            res = profile_system(GNNAdvisorSystem(), model, ds, config)
             assert res is not None
             row.append(fmt_mb(res.report.mem_atomic_store_bytes))
             records.append(
@@ -60,7 +60,7 @@ def fig9(config: BenchConfig | None = None) -> TableResult:
         vals = []
         for abbr in DATASET_ORDER:
             ds = get_dataset(abbr, config)
-            res = run_system(factory(), "gcn", ds, config)
+            res = profile_system(factory(), "gcn", ds, config)
             assert res is not None
             vals.append(res.report.achieved_occupancy)
             records.append(
@@ -104,7 +104,7 @@ def ablation_series(
     for name, toggles in stages.items():
         if name == "+Fusion" and not softmax:
             continue  # fusion only changes the attention (softmax) pipeline
-        res = run_system(TLPGNNEngine(**toggles), model, ds, config, X=X)
+        res = profile_system(TLPGNNEngine(**toggles), model, ds, config, X=X)
         assert res is not None
         out[name] = res.runtime_ms
     return out
@@ -281,7 +281,7 @@ def fig12(
                     spec=base_cfg.spec,
                 )
                 ds = get_dataset(abbr, cfg)
-                res = run_system(TLPGNNEngine(), model, ds, cfg)
+                res = profile_system(TLPGNNEngine(), model, ds, cfg)
                 assert res is not None
                 times.append(res.report.gpu_time_ms)
             norm = [t / times[0] for t in times]

@@ -10,7 +10,7 @@ from typing import Any
 import numpy as np
 
 from ..frameworks import SYSTEMS, CapacityError, GNNSystem, UnsupportedModelError
-from ..frameworks.base import SystemResult
+from ..frameworks.base import SystemProfile, SystemResult
 from ..gpusim.config import V100, GPUSpec, scaled_spec
 from ..graph.datasets import Dataset, load_dataset
 from ..graph.generators import make_features
@@ -28,6 +28,7 @@ __all__ = [
     "grid_cells",
     "walk_grid",
     "run_system",
+    "profile_system",
     "run_comparison",
 ]
 
@@ -157,16 +158,46 @@ def run_system(
     X: np.ndarray | None = None,
     opt: str = "off",
 ) -> SystemResult | None:
-    """Run one (system, model, dataset) cell; None where the paper has a dash
-    (unsupported model or capacity failure)."""
+    """Run one (system, model, dataset) cell: its profile and its output.
+    None where the paper has a dash (unsupported model or capacity
+    failure)."""
+    return _call_cell("run", system, model, dataset, config, X, opt)
+
+
+def profile_system(
+    system: GNNSystem,
+    model: str,
+    dataset: Dataset,
+    config: BenchConfig,
+    *,
+    X: np.ndarray | None = None,
+    opt: str = "off",
+) -> SystemProfile | None:
+    """:func:`run_system` without the output: the cell's modeled profile,
+    or None where the paper has a dash.  Every table and figure reads
+    only profiles."""
+    return _call_cell("profile", system, model, dataset, config, X, opt)
+
+
+def _call_cell(
+    method: str,
+    system: GNNSystem,
+    model: str,
+    dataset: Dataset,
+    config: BenchConfig,
+    X: np.ndarray | None,
+    opt: str,
+) -> Any:
+    """``system.<method>`` (``run`` or ``profile``) on one cell, under a
+    ``bench.<method>_system`` span; a dash tags the span and returns None."""
     if X is None:
         X = make_features(dataset.graph.num_vertices, config.feat_dim, seed=config.seed)
     with span(
-        "bench.run_system",
+        f"bench.{method}_system",
         system=system.name, model=model, dataset=dataset.spec.abbr,
     ) as sp:
         try:
-            result = system.run(
+            result = getattr(system, method)(
                 model, dataset, X, config.spec_for(dataset), opt=opt
             )
         except (UnsupportedModelError, CapacityError) as exc:

@@ -40,7 +40,7 @@ from ..frameworks import SYSTEMS
 from ..obs.archive import config_fingerprint
 from ..obs.trend import TrendDiff, TrendStore, git_rev
 from ..serve import ServableModel, ServeConfig, serve_trace
-from .harness import BenchConfig, get_dataset, make_features, run_system
+from .harness import BenchConfig, get_dataset, make_features, profile_system
 
 __all__ = [
     "ProbeResult",
@@ -129,7 +129,7 @@ def table5_probe(config: BenchConfig) -> ProbeResult:
     ds = get_dataset(_DATASET, config)
     metrics: dict = {}
     for name in sorted(SYSTEMS):
-        res = run_system(SYSTEMS[name](), _MODEL, ds, config)
+        res = profile_system(SYSTEMS[name](), _MODEL, ds, config)
         if res is not None:
             metrics[f"{name}_runtime_ms"] = res.runtime_ms
     tlpgnn = metrics.get("TLPGNN_runtime_ms")

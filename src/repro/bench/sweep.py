@@ -14,7 +14,7 @@ from typing import Sequence
 from ..frameworks import SYSTEMS
 from ..opt import get_tuned_store
 from ..plan import get_plan_cache
-from .harness import BenchConfig, get_dataset, make_features, run_system
+from .harness import BenchConfig, get_dataset, make_features, profile_system
 from .report import TableResult, fmt_ms
 
 __all__ = ["sweep_feature_dims", "sweep_scales", "sweep_grid"]
@@ -74,7 +74,7 @@ def sweep_feature_dims(
                 spec=base.spec, scale_device=base.scale_device,
             )
             ds = get_dataset(abbr, cfg)
-            res = run_system(SYSTEMS[name](), model, ds, cfg)
+            res = profile_system(SYSTEMS[name](), model, ds, cfg)
             ms = None if res is None else res.runtime_ms
             row.append("-" if ms is None else fmt_ms(ms))
             records.append(
@@ -114,7 +114,7 @@ def sweep_scales(
             spec=base.spec, scale_device=base.scale_device,
         )
         ds = get_dataset(abbr, cfg)
-        res = run_system(SYSTEMS[system](), model, ds, cfg)
+        res = profile_system(SYSTEMS[system](), model, ds, cfg)
         ms = None if res is None else res.runtime_ms
         rows.append(
             [
@@ -155,7 +155,7 @@ def sweep_grid(
         for abbr in datasets:
             ds = get_dataset(abbr, cfg)
             X = make_features(ds.graph.num_vertices, cfg.feat_dim, seed=cfg.seed)
-            res = run_system(SYSTEMS[system](), model, ds, cfg, X=X)
+            res = profile_system(SYSTEMS[system](), model, ds, cfg, X=X)
             ms = None if res is None else res.runtime_ms
             row.append("-" if ms is None else fmt_ms(ms))
             records.append(

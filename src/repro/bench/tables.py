@@ -16,7 +16,7 @@ from ..kernels import (
 from ..kernels.fusion import three_kernel_gat_stats
 from ..models import build_conv
 from ..plan import cost_plan, time_parts
-from .harness import BenchConfig, get_dataset, make_features, run_system
+from .harness import BenchConfig, get_dataset, make_features, profile_system
 from .report import TableResult, fmt_mb, fmt_ms, fmt_pct
 
 __all__ = ["table1", "table2", "table3", "table4", "table5", "design_space"]
@@ -114,7 +114,7 @@ def table3(config: BenchConfig | None = None) -> TableResult:
     X = make_features(ds.graph.num_vertices, 32, seed=config.seed)
     spec = config.spec_for(ds)
 
-    dgl = run_system(DGLSystem(), "gat", ds, config, X=X)
+    dgl = profile_system(DGLSystem(), "gat", ds, config, X=X)
     assert dgl is not None
     dgl_rep = dgl.report
 
@@ -123,7 +123,7 @@ def table3(config: BenchConfig | None = None) -> TableResult:
     timings3 = time_parts(parts3, spec)
     three = cost_plan(pipe3, timings3, spec)
 
-    tlp = run_system(TLPGNNEngine(), "gat", ds, config, X=X)
+    tlp = profile_system(TLPGNNEngine(), "gat", ds, config, X=X)
     assert tlp is not None
     one_rep = tlp.report
 
@@ -240,7 +240,7 @@ def table5(
             X = make_features(ds.graph.num_vertices, config.feat_dim, seed=config.seed)
             times: dict[str, float | None] = {}
             for name, factory in systems.items():
-                res = run_system(factory(), model, ds, config, X=X)
+                res = profile_system(factory(), model, ds, config, X=X)
                 times[name] = None if res is None else res.runtime_ms
             baselines = [
                 t for k, t in times.items() if k != "TLPGNN" and t is not None

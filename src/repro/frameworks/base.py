@@ -2,20 +2,28 @@
 
 A system takes a model name + graph + input features, **lowers** the cell
 to an :class:`~repro.plan.ExecutionPlan` (its own kernel pipeline), then
-the shared executor/analyzer of :mod:`repro.plan` runs the plan and costs
-it, returning the output plus a :class:`~repro.gpusim.profiler.
-ProfileReport` with modeled timing and counters.  Every system's output
-is the shared executor's reference aggregation of its workload, so
-systems agree by construction and Table 5 compares *how*, not *what*.
+the shared analyzer of :mod:`repro.plan` costs the plan into a
+:class:`~repro.gpusim.profiler.ProfileReport` with modeled timing and
+counters, and the shared executor computes its output.  Every system's
+output is the shared executor's reference aggregation of its workload,
+so systems agree by construction and Table 5 compares *how*, not *what*.
 
 Systems are pure lowering rules: subclasses implement ``_lower`` (and
-``plan_knobs`` for their cache-key knobs); ``run()`` is the shared
-three-stage driver with the :class:`~repro.plan.PlanCache` in front.
-Every run takes one path: no run bypasses the cache, so traced and
-untraced runs see the same entries, and a traced hit records a
-``plan.cache.hit`` span carrying the cached modeled time.  ``lower()``
-and ``run()`` resolve a cell the same way (``_prepare``) and share its
-key.
+``plan_knobs`` for their cache-key knobs).  Two entry points share the
+:class:`~repro.plan.PlanCache` in front of them:
+
+* ``profile()`` lowers, optimizes and costs the cell, and never executes
+  it.  The cache holds its result, so a warm hit skips all three.
+  Serving and every table and figure regenerator read only profiles.
+* ``run()`` is ``profile()`` plus the output.  A miss executes the plan
+  it just built; a hit lowers and optimizes again and executes, but
+  skips the analysis.
+
+Every call takes one path: nothing bypasses the cache, so traced and
+untraced calls see the same entries, and a traced hit records a
+``plan.cache.hit`` span carrying the cached modeled time.  ``lower()``,
+``profile()`` and ``run()`` resolve a cell the same way (``_prepare``)
+and share its key.
 """
 
 from __future__ import annotations
@@ -42,7 +50,13 @@ from ..plan import (
     plan_fingerprint,
 )
 
-__all__ = ["GNNSystem", "SystemResult", "UnsupportedModelError", "CapacityError"]
+__all__ = [
+    "GNNSystem", "SystemProfile", "SystemResult", "UnsupportedModelError",
+    "CapacityError",
+]
+
+#: ``_prepare``'s resolution of one cell: (model, graph, dataset, tuned, key)
+_Cell = tuple[str, CSRGraph, Dataset | None, dict | None, str]
 
 
 class UnsupportedModelError(NotImplementedError):
@@ -55,17 +69,23 @@ class CapacityError(RuntimeError):
 
 
 @dataclass
-class SystemResult:
-    """Output features + profile of one convolution execution."""
+class SystemProfile:
+    """Modeled profile of one convolution, without its output."""
 
-    output: np.ndarray
     report: ProfileReport
     #: summary of the lowered plan (``plan.cached`` marks warm-cache hits)
-    plan: PlanInfo | None = None
+    plan: PlanInfo
 
     @property
     def runtime_ms(self) -> float:
         return self.report.runtime_ms
+
+
+@dataclass
+class SystemResult(SystemProfile):
+    """A profile plus the output features of the executed convolution."""
+
+    output: np.ndarray
 
 
 class GNNSystem(ABC):
@@ -101,7 +121,7 @@ class GNNSystem(ABC):
     def _prepare(
         self, model: str, data: CSRGraph | Dataset, X: np.ndarray,
         spec: GPUSpec, *, opt: str = "off",
-    ) -> tuple[str, CSRGraph, Dataset | None, dict | None, str]:
+    ) -> _Cell:
         """Resolve one cell: ``(model, graph, dataset, tuned, key)``.
 
         ``tuned`` is the tuned-plan store's knob dict at ``opt="search"``.
@@ -142,12 +162,44 @@ class GNNSystem(ABC):
         spec: GPUSpec = V100,
     ) -> ExecutionPlan:
         """Compile stage only: lower the cell without executing or costing."""
-        model, graph, dataset, _, key = self._prepare(model, data, X, spec)
+        return self._compile(self._prepare(model, data, X, spec), X, spec, "off")
+
+    def _compile(
+        self, cell: _Cell, X: np.ndarray, spec: GPUSpec, opt: str
+    ) -> ExecutionPlan:
+        """Lower a resolved cell and run the ``opt`` pass pipeline on it
+        (``"off"`` runs none)."""
+        from ..opt import optimize_plan
+
+        model, graph, dataset, tuned, key = cell
         plan = self._lower(model, graph, X, spec, dataset=dataset)
         plan.fingerprint = key
+        plan, _ = optimize_plan(plan, spec, level=opt, dataset=dataset, tuned=tuned)
         return plan
 
     # ------------------------------------------------------------------
+    def profile(
+        self,
+        model: str,
+        data: CSRGraph | Dataset,
+        X: np.ndarray,
+        spec: GPUSpec = V100,
+        *,
+        opt: str = "off",
+    ) -> SystemProfile:
+        """Profile the model's graph convolution without executing it.
+
+        ``opt`` selects the :mod:`repro.opt` pass-pipeline level applied
+        after lowering — ``"off"`` (the default), ``"safe"``, or
+        ``"search"``.  At ``"search"`` the installed
+        :class:`~repro.opt.TunedPlanStore` is consulted first: a hit
+        replays the persisted tuner decision instead of searching.  The
+        optimizer context (level, tuner version, tuned knobs) is part of
+        the plan-cache fingerprint, so an untuned cached plan is never
+        served as a tuned one.
+        """
+        return self._profile(model, data, X, spec, opt)[0]
+
     def run(
         self,
         model: str,
@@ -157,26 +209,33 @@ class GNNSystem(ABC):
         *,
         opt: str = "off",
     ) -> SystemResult:
-        """Execute the model's graph convolution and profile it.
+        """:meth:`profile` the convolution, then execute it for its output.
 
-        ``opt`` selects the :mod:`repro.opt` pass-pipeline level applied
-        between lowering and execution — ``"off"`` (the default),
-        ``"safe"``, or ``"search"``.  At ``"search"`` the installed
-        :class:`~repro.opt.TunedPlanStore` is consulted first: a hit
-        replays the persisted tuner decision instead of searching.  The
-        optimizer context (level, tuner version, tuned knobs) is part of
-        the plan-cache fingerprint, so an untuned cached plan is never
-        served as a tuned one.
+        The profile is the same as ``profile()``'s, from the same cache.  A
+        cache hit holds no plan, so the cell is lowered and optimized again
+        to execute it.
         """
-        from ..opt import OPT_LEVELS, optimize_plan
+        prof, plan, cell = self._profile(model, data, X, spec, opt)
+        if plan is None:
+            plan = self._compile(cell, X, spec, opt)
+        return SystemResult(
+            report=prof.report, plan=prof.plan, output=execute_plan(plan)
+        )
+
+    def _profile(
+        self, model: str, data: CSRGraph | Dataset, X: np.ndarray,
+        spec: GPUSpec, opt: str,
+    ) -> tuple[SystemProfile, ExecutionPlan | None, _Cell]:
+        """The profile, the plan a cache miss built (None on a hit) and
+        the resolved cell."""
+        from ..opt import OPT_LEVELS
 
         if opt not in OPT_LEVELS:
             raise ValueError(f"opt must be one of {OPT_LEVELS}: {opt!r}")
-        model, graph, dataset, tuned, key = self._prepare(
-            model, data, X, spec, opt=opt
-        )
-        # request-level attribution: when run on behalf of a served batch
-        # (the planner calls into run() during dispatch), tag the pipeline
+        cell = self._prepare(model, data, X, spec, opt=opt)
+        model, graph, _, _, key = cell
+        # request-level attribution: when profiled on behalf of a served
+        # batch (the planner calls in during dispatch), tag the pipeline
         # (or cache-hit) span with the batch / request ids it serves
         bctx = current_batch_context()
         req_tags = (
@@ -188,6 +247,7 @@ class GNNSystem(ABC):
             cache.get(key, system=self.name, model=model)
             if cache is not None else None
         )
+        plan = None
         if entry is not None:
             with span(
                 "plan.cache.hit", system=self.name, model=model,
@@ -195,7 +255,6 @@ class GNNSystem(ABC):
             ) as sp:
                 if sp is not None:
                     sp.add_modeled(entry.timing.runtime_seconds)
-                output = entry.output.copy()
             stats, timing = entry.stats, entry.timing
             info = replace(entry.info, cached=True)
         else:
@@ -203,12 +262,7 @@ class GNNSystem(ABC):
                 f"{self.name}.pipeline", model=model, graph=graph.name,
                 **req_tags,
             ) as sp:
-                plan = self._lower(model, graph, X, spec, dataset=dataset)
-                plan.fingerprint = key
-                plan, _ = optimize_plan(
-                    plan, spec, level=opt, dataset=dataset, tuned=tuned
-                )
-                output = execute_plan(plan)
+                plan = self._compile(cell, X, spec, opt)
                 if sp is not None:
                     sp.set(num_kernels=plan.num_kernels)
             with span(f"{self.name}.costmodel", model=model) as sp:
@@ -217,9 +271,7 @@ class GNNSystem(ABC):
                     sp.add_modeled(timing.runtime_seconds)
             info = plan.info()
             if cache is not None:
-                cache.put(key, PlanCacheEntry(
-                    output=output.copy(), stats=stats, timing=timing, info=info,
-                ))
+                cache.put(key, PlanCacheEntry(stats=stats, timing=timing, info=info))
         report = ProfileReport(
             system=self.name,
             model=model,
@@ -228,7 +280,7 @@ class GNNSystem(ABC):
             stats=stats,
         )
         report.publish()
-        return SystemResult(output=output, report=report, plan=info)
+        return SystemProfile(report=report, plan=info), plan, cell
 
     def check_capacity(self, graph: CSRGraph, dataset: Dataset | None) -> None:
         """Raise :class:`CapacityError` if the workload exceeds the system's

@@ -6,9 +6,9 @@ the functions here:
 
 * the plan cache, :func:`repro.plan.cache.plan_fingerprint`: the cell
   plus the system's knobs and the optimizer context, over the feature
-  *values*;
+  *shape* and dtype (a cached profile reads no feature value);
 * the tuned-plan store, :func:`repro.opt.tuner.tuning_key`: the cell over
-  the feature *shape*, plus the tuner version;
+  the feature *shape* and dtype, plus the tuner version;
 * the profile archive and the ``repro regress`` probes,
   :func:`repro.obs.archive.config_fingerprint`: the run configuration;
 * the verifier, :mod:`repro.verify.normal`: the digests of a workload's

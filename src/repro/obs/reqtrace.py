@@ -374,9 +374,9 @@ class RequestTraceCollector:
 # module-global collector: None = disabled (the default, allocation-free)
 _COLLECTOR: RequestTraceCollector | None = None
 
-#: stack of batch contexts currently being planned/executed, so offline
-#: pipeline spans (``execute_plan``, ``GNNSystem.run``) can annotate
-#: themselves with the request ids they serve
+#: stack of batch contexts currently being planned, so the offline
+#: profile's spans (``GNNSystem.profile``'s pipeline or cache-hit span)
+#: can annotate themselves with the request ids they serve
 _BATCH_STACK: list[BatchContext] = []
 
 

@@ -6,7 +6,8 @@ launch-geometry selection) whose legality comes from the ``repro.lint``
 effect tables and whose profit comes from the shared ``cost_plan``
 model, plus a deterministic per-cell auto-tuner with a persisted
 :class:`TunedPlanStore` of winning configurations.  Entry points:
-``GNNSystem.run(opt=...)``, ``repro opt`` / ``repro tune`` on the CLI,
+``GNNSystem.profile(opt=...)`` and ``GNNSystem.run(opt=...)``,
+``repro opt`` / ``repro tune`` on the CLI,
 and :func:`optimize_plan` / :class:`AutoTuner` as a library.
 """
 

@@ -16,8 +16,8 @@ never relaxes:
   is the independent check that their reasoning was sound.
 * **Profit** — every accepted rewrite must not regress the shared cost
   model: :func:`modeled_runtime_s` (the same
-  :func:`~repro.plan.analyzer.model_plan` composition ``GNNSystem.run``
-  bills with)
+  :func:`~repro.plan.analyzer.model_plan` composition
+  ``GNNSystem.profile`` bills with)
   scores the plan before and after, and unprofitable rewrites are
   skipped (recorded, not raised — a pass that found nothing better is
   normal).
@@ -59,8 +59,8 @@ __all__ = [
     "default_pipeline",
 ]
 
-#: optimizer levels ``GNNSystem.run(opt=...)`` accepts, in increasing
-#: aggressiveness: "off" = lower-and-run (the pre-optimizer behavior),
+#: optimizer levels ``GNNSystem.profile``/``run(opt=...)`` accept, in
+#: increasing aggressiveness: "off" = lower-and-run (the pre-optimizer behavior),
 #: "safe" = rewrites that need no search (dead-intermediate elimination +
 #: elementwise fusion), "search" = "safe" plus workload-mapping and
 #: launch-geometry selection over the kernel knob space.
@@ -95,7 +95,7 @@ def modeled_runtime_s(plan: ExecutionPlan, spec: GPUSpec) -> float:
     """Score a plan with the shared cost model (seconds, end to end).
 
     This is the optimizer's single profit metric — identical to what
-    ``GNNSystem.run`` reports, including per-kernel dispatch overhead and
+    ``GNNSystem.profile`` reports, including per-kernel dispatch overhead and
     one-off preprocessing, so "fewer launches" is rewarded exactly as
     much as the serving path would observe.
     """

@@ -12,9 +12,10 @@ inputs replays byte-identical decisions.
 Winning configurations persist in the :class:`TunedPlanStore` keyed by
 :func:`tuning_key` — a content fingerprint over (system, model, graph,
 feature shape, spec, dataset hints, ``TUNER_VERSION``), one projection
-of the cell identity that :mod:`repro.identity` owns.  ``GNNSystem.run
-(opt="search")`` consults the installed store: on a hit it replays the
-stored knobs through the pass pipeline instead of re-searching, and the
+of the cell identity that :mod:`repro.identity` owns.
+``GNNSystem.profile(opt="search")`` (and ``run``, which profiles first)
+consults the installed store: on a hit it replays the stored knobs
+through the pass pipeline instead of re-searching, and the
 :class:`~repro.plan.PlanCache` key incorporates the same store entry (see
 ``plan_fingerprint(opt=...)``), so a warm serve deploy picks up tuned
 plans transparently and an untuned cached plan is never served as a
@@ -110,9 +111,9 @@ def tuning_key(
 class TunedPlanStore:
     """Persisted (tuning key -> winning knob dict) map with counters.
 
-    The serving-side complement of the tuner: ``GNNSystem.run(opt=
-    "search")`` looks its cell up here before falling back to a live
-    search.  JSON round-trippable; entries recorded under a different
+    The serving-side complement of the tuner: ``GNNSystem.profile(opt=
+    "search")`` (and ``run``) looks its cell up here before falling back
+    to a live search.  JSON round-trippable; entries recorded under a different
     ``TUNER_VERSION`` are dropped on load rather than replayed.
     """
 

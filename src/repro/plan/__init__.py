@@ -1,4 +1,4 @@
-"""Compile/execute split: the shared ExecutionPlan IR and plan cache.
+"""Profile/execute split: the shared ExecutionPlan IR and plan cache.
 
 Every framework model in :mod:`repro.frameworks` used to interleave
 lowering, numeric execution, counter analysis, and costing inside its own
@@ -18,11 +18,13 @@ shared by all systems (and by :mod:`repro.multigpu` and
    ``ScheduleResult``/``KernelTiming`` through one shared path (the
    single source of truth for ``dispatch_seconds`` handling).
 
-Stages 2 and 3 are memoized in a bounded :class:`PlanCache` keyed by
-:func:`plan_fingerprint` — a content hash of graph + features + model +
-system knobs + device spec — so warm-cache serving skips re-analysis
-entirely.  Every ``GNNSystem.run`` goes through the cache, traced or
-not: the key is its only lookup rule.
+Stages 1 and 3 make a *profile*, and ``GNNSystem.profile`` stops
+there; ``GNNSystem.run`` adds stage 2.  Profiles are memoized in a
+bounded :class:`PlanCache` keyed by :func:`plan_fingerprint` — a content
+hash of graph + feature shape and dtype + model + system knobs + device
+spec — so warm-cache serving skips lowering and re-analysis entirely.
+Every ``profile`` and ``run`` goes through the cache, traced or not: the
+key is its only lookup rule.
 """
 
 from .analyzer import analyze_plan, cost_plan, model_plan, time_parts

@@ -1,29 +1,33 @@
 """Bounded plan cache keyed by a content fingerprint.
 
-A cache entry memoizes everything the execute + analyze/cost stages
-produce for one (system, model, graph, features, spec, knobs) cell:
-the output features, the aggregated :class:`~repro.gpusim.kernel.
-PipelineStats`, and the :class:`~repro.gpusim.costmodel.PipelineTiming`.
-A warm hit therefore skips lowering, numeric execution, and the whole
-counter/cost analysis — the host-side win ``benchmarks/bench_serving.py``
-measures.
+A cache entry memoizes what the lower + optimize + analyze/cost stages
+produce for one (system, model, graph, feature geometry, spec, knobs)
+cell: the aggregated :class:`~repro.gpusim.kernel.PipelineStats`, the
+:class:`~repro.gpusim.costmodel.PipelineTiming` and the plan's
+:class:`~repro.plan.ir.PlanInfo` — a profile, never an output.  A warm
+``GNNSystem.profile`` therefore skips lowering, optimization and the
+whole counter/cost analysis — the host-side win
+``benchmarks/bench_serving.py`` measures; a warm ``GNNSystem.run`` skips
+only the analysis, and computes its output from its own features.
 
 Cache key (:func:`plan_fingerprint`) — content, never identity.  It is
 one projection of the cell identity that :mod:`repro.identity` owns:
 
 * the graph's :meth:`~repro.graph.csr.CSRGraph.fingerprint` (sha256 over
   the CSR arrays),
-* the feature matrix bytes (shape + dtype + data), hashed on every call
-  because the caller owns (and may mutate) the features,
+* the feature matrix's shape and dtype, not its values: no modeled
+  counter or time reads a feature value (``tests/plan/
+  test_profile_without_output.py`` pins that), so two feature matrices
+  of one geometry share a profile,
 * model name, system name, and the system's ``plan_knobs()`` dict,
 * the full :class:`~repro.gpusim.config.GPUSpec`,
 * the dataset's full-size hints (they steer TLPGNN's hybrid heuristic).
 
 Invalidation rules: anything not in the key must not change results.
-No run path bypasses the cache: every ``GNNSystem.run`` consults it,
-traced or not (a traced hit records a ``plan.cache.hit`` span).  The key
-holds a model's *name*, not its spec, so re-registering a name
-(:func:`repro.mp.register` with ``replace=True``, or
+No path bypasses the cache: every ``GNNSystem.profile`` and ``run``
+consults it, traced or not (a traced hit records a ``plan.cache.hit``
+span).  The key holds a model's *name*, not its spec, so re-registering
+a name (:func:`repro.mp.register` with ``replace=True``, or
 :func:`repro.mp.unregister`) drops that name's entries from the
 installed cache (:meth:`PlanCache.discard_model`).
 
@@ -53,8 +57,9 @@ __all__ = [
     "set_plan_cache",
 ]
 
-#: default entry bound — big enough for a bench sweep's working set,
-#: small enough that cached output matrices stay cheap
+#: default entry bound — big enough for a bench sweep's working set; an
+#: entry holds counters (with each kernel's per-warp cycles) and timings,
+#: never an output matrix
 DEFAULT_MAXSIZE = 32
 
 
@@ -71,12 +76,13 @@ def plan_fingerprint(
 ) -> str:
     """Content sha256 identifying one lowered + analyzed cell.
 
-    ``opt`` carries the optimizer context (level, tuner version, tuned
-    knob dict) of a ``"safe"``/``"search"`` run — part of the key so an
-    untuned cached plan is never served as a tuned one and vice versa.
-    ``None`` (``opt="off"``, the pre-optimizer plan) is deliberately
-    excluded from the payload, keeping every historical fingerprint
-    stable.
+    ``X`` enters as its shape and dtype, as in
+    :func:`repro.opt.tuner.tuning_key`: the profile an entry holds reads
+    no feature value.  ``opt`` carries the optimizer context (level,
+    tuner version, tuned knob dict) of a ``"safe"``/``"search"`` run —
+    part of the key so an untuned cached plan is never served as a tuned
+    one and vice versa.  ``None`` (``opt="off"``, the pre-optimizer
+    plan) is left out of the payload.
     """
     payload = {
         "system": system,
@@ -84,17 +90,17 @@ def plan_fingerprint(
         "knobs": knobs or {},
         "spec": spec_payload(spec),
         "dataset": dataset_block(dataset),
+        "x": [list(X.shape), str(X.dtype)],
     }
     if opt is not None:
         payload["opt"] = opt
-    return content_key(payload, graph=graph, array=X)
+    return content_key(payload, graph=graph)
 
 
 @dataclass
 class PlanCacheEntry:
-    """Memoized execute + analyze/cost results of one plan."""
+    """Memoized profile of one plan: its analysis and identity."""
 
-    output: np.ndarray
     stats: PipelineStats
     timing: PipelineTiming
     info: PlanInfo

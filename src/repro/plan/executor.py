@@ -13,20 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..models.convspec import reference_aggregate
-from ..obs.reqtrace import current_batch_context
 from ..obs.tracer import span
 from .ir import ExecutionPlan
 
 __all__ = ["execute_plan"]
-
-
-def _request_tags() -> dict:
-    """Request-level attribution for kernel spans: when this execution
-    happens on behalf of a served batch, tag the span with its ids."""
-    bctx = current_batch_context()
-    if bctx is None:
-        return {}
-    return {"batch": bctx.bid, "rids": list(bctx.rids)}
 
 
 def execute_plan(plan: ExecutionPlan) -> np.ndarray:
@@ -36,7 +26,7 @@ def execute_plan(plan: ExecutionPlan) -> np.ndarray:
     label = step.label or plan.pipeline_name
     if conv is not None:
         label = conv.kernel.name
-    with span("kernel.run", kernel=label, **_request_tags()):
+    with span("kernel.run", kernel=label):
         output = reference_aggregate(step.workload)
     if step.output_perm is not None:
         output = output[step.output_perm]

@@ -4,10 +4,12 @@ The adapter bridges the offline world (a :class:`~repro.frameworks.base.
 GNNSystem` profiling one convolution) and the online one (the stream
 simulator executing micro-batches):
 
-* it runs the system's lower → execute → analyze pipeline (which routes
-  through the process-wide :class:`~repro.plan.PlanCache`, so a warm serve
-  pass reuses the memoized :class:`~repro.gpusim.costmodel.PipelineTiming`
-  and skips re-analysis entirely), then
+* it profiles the cell with :meth:`~repro.frameworks.base.GNNSystem.
+  profile` — lower → optimize → analyze, never execute: serving reads
+  the modeled timing, not the output.  The profile routes through the
+  process-wide :class:`~repro.plan.PlanCache`, so a warm serve pass
+  reuses the memoized :class:`~repro.gpusim.costmodel.PipelineTiming`
+  and skips lowering and re-analysis entirely, then
 * converts each pipeline kernel into a :class:`~repro.gpusim.streams.
   StreamKernel` via :func:`~repro.gpusim.costmodel.stream_demands`, with
   the framework dispatch cost (the single source of truth is the system's
@@ -105,7 +107,7 @@ class ServableModel:
         self.graph, _ = split_cell(data)
         self.spec = spec
         self.seed = seed
-        #: optimizer level forwarded to every ``system.run`` call ("off" =
+        #: optimizer level forwarded to every ``system.profile`` call ("off" =
         #: the pre-optimizer plan); at "search" a warm deploy picks up
         #: persisted tuner decisions through the TunedPlanStore
         self.opt = opt
@@ -123,11 +125,11 @@ class ServableModel:
     def offline_timing(self) -> PipelineTiming:
         """The cached B=1 full-graph pipeline timing (profiled on demand)."""
         if self._full_timing is None:
-            result = self.system.run(
+            prof = self.system.profile(
                 self.model, self.data, self.X, self.spec, opt=self.opt
             )
-            self._full_timing = result.report.timing
-            self.plan_info = result.plan
+            self._full_timing = prof.report.timing
+            self.plan_info = prof.plan
         return self._full_timing
 
     @property
@@ -158,8 +160,8 @@ class ServableModel:
             np.concatenate([np.asarray(r.targets, dtype=np.int64) for r in batch]),
             name=f"{self.graph.name}_serve",
         )
-        result = self.system.run(
+        prof = self.system.profile(
             self.model, sub, np.ascontiguousarray(self.X[vertices]), self.spec,
             opt=self.opt,
         )
-        return plan_from_timing(result.report.timing)
+        return plan_from_timing(prof.report.timing)

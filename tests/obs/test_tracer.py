@@ -211,8 +211,9 @@ class TestRunSystemIntegration:
         assert "bench.run_system" in names
         assert "TLPGNN.pipeline" in names
         assert "kernel.run" in names and "kernel.analyze" in names
-        # and the warm traced run hit the cache the cold one filled
+        # and the warm traced run hit the cache the cold one filled, then
+        # recomputed its output
         assert runs[1].plan.cached
         assert [s.name for s in warm.walk()] == [
-            "bench.run_system", "plan.cache.hit",
+            "bench.run_system", "plan.cache.hit", "kernel.run",
         ]

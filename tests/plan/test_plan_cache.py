@@ -73,7 +73,8 @@ class TestWarmHitTransparency:
 
     def test_traced_warm_run_hits(self, small_random):
         """Traced and untraced runs see one cache: a traced warm run
-        returns the untraced bytes and records one hit span."""
+        returns the untraced bytes, records one hit span carrying the
+        cached modeled time, then the span that recomputes the output."""
         X = _features(small_random)
         cold = TLPGNNEngine().run("gcn", small_random, X)
         registry, tracer = MetricsRegistry(), Tracer()
@@ -92,9 +93,10 @@ class TestWarmHitTransparency:
             if rec["name"].startswith("plan_cache")
         }
         assert counts == {"plan_cache_hit": 1.0}
-        [hit] = tracer.walk()
+        [hit, execute] = tracer.walk()
         assert hit.name == "plan.cache.hit"
         assert hit.modeled_seconds == warm.report.timing.runtime_seconds
+        assert execute.name == "kernel.run"
 
 
 class TestCacheBypass:
@@ -118,10 +120,21 @@ class TestKeySensitivity:
         assert a.plan.fingerprint != b.plan.fingerprint
 
     def test_different_features_do_not_collide(self, small_random):
+        """Two feature matrices of one shape share the profile, and each
+        run still returns the output of its own features."""
         cache = get_plan_cache()
-        TLPGNNEngine().run("gcn", small_random, _features(small_random, seed=0))
-        TLPGNNEngine().run("gcn", small_random, _features(small_random, seed=1))
-        assert cache.hits == 0 and cache.misses == 2
+        X0, X1 = _features(small_random, seed=0), _features(small_random, seed=1)
+        a = TLPGNNEngine().run("gcn", small_random, X0)
+        b = TLPGNNEngine().run("gcn", small_random, X1)
+        assert cache.hits == 1 and cache.misses == 1
+        assert b.plan.cached and b.report.as_dict() == a.report.as_dict()
+        previous = set_plan_cache(None)
+        try:
+            cold = TLPGNNEngine().run("gcn", small_random, X1)
+        finally:
+            set_plan_cache(previous)
+        np.testing.assert_array_equal(b.output, cold.output)
+        assert not np.array_equal(a.output, b.output)
 
 
 class TestReRegistration:
@@ -207,7 +220,7 @@ class TestEviction:
 
 
 def test_cache_entry_holds_analysis(small_random):
-    """A cache entry memoizes output + stats + timing + plan identity."""
+    """A cache entry memoizes stats + timing + plan identity."""
     X = _features(small_random)
     cache = get_plan_cache()
     res = TLPGNNEngine().run("gcn", small_random, X)
