@@ -102,7 +102,7 @@ def main() -> None:
     print("all supporting systems match the reference max-pool semantics")
 
     # -- 4. auto-tune: the custom conv ties or beats the paper config --
-    result = AutoTuner(budget=16, seed=config.seed).tune(
+    result = AutoTuner(budget=16).tune(
         SYSTEMS["TLPGNN"](), MODEL, dataset, X, spec
     )
     knobs = ", ".join(f"{k}={v}" for k, v in sorted(result.best_knobs.items()))

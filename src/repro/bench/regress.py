@@ -164,9 +164,7 @@ def autotune_probe(config: BenchConfig) -> ProbeResult:
     )
     # a private store: the probe must not leak tuned decisions into the
     # process-wide store (regress runs alongside other probes)
-    tuner = AutoTuner(
-        budget=_TUNE_BUDGET, seed=config.seed, store=TunedPlanStore()
-    )
+    tuner = AutoTuner(budget=_TUNE_BUDGET, store=TunedPlanStore())
     result = tuner.tune(SYSTEMS["TLPGNN"](), _MODEL, ds, X, spec)
     return ProbeResult(
         name="autotune",

@@ -32,7 +32,7 @@ from .bench import (
     get_dataset,
     grid_cells,
     load_cell,
-    run_system,
+    profile_system,
     select_claims,
     validate_claims,
     walk_grid,
@@ -278,7 +278,7 @@ def cmd_datasets(args, config, out) -> int:
 
 def cmd_run(args, config, out) -> int:
     cell = load_cell(args.dataset, config)
-    res = run_system(
+    res = profile_system(
         SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X,
         opt=args.opt,
     )
@@ -299,7 +299,7 @@ def cmd_compare(args, config, out) -> int:
     graph = cell.dataset.graph
     rows = []
     for name, factory in SYSTEMS.items():
-        res = run_system(factory(), args.model, cell.dataset, config, X=cell.X)
+        res = profile_system(factory(), args.model, cell.dataset, config, X=cell.X)
         rows.append((name, res.runtime_ms if res else None))
     ok = [(n, t) for n, t in rows if t is not None]
     print(f"{args.model.upper()} on {args.dataset} "
@@ -325,7 +325,7 @@ def cmd_trace(args, config, out) -> int:
 
     cell = load_cell(args.dataset, config)
     with _installed(set_tracer, Tracer()) as tracer:
-        res = run_system(
+        res = profile_system(
             SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X
         )
     if res is None:
@@ -382,7 +382,7 @@ def cmd_roofline(args, config, out) -> int:
     from .plan import time_parts
 
     cell = load_cell(args.dataset, config)
-    res = run_system(
+    res = profile_system(
         SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X
     )
     if res is None:
@@ -932,7 +932,9 @@ def cmd_tune(args, config, out) -> int:
                 f"(tuner version mismatch) while loading {args.store}",
                 file=out,
             )
-    tuner = AutoTuner(budget=args.budget, seed=config.seed, store=store)
+    # the search's own seed, not --seed (the data's): at equal budget
+    # the tuner then persists what a cold opt=search would pick
+    tuner = AutoTuner(budget=args.budget, store=store)
     rows = []
     rc = 0
     with _installed(set_tuned_store, store):
@@ -959,8 +961,8 @@ def cmd_tune(args, config, out) -> int:
                 )
                 print(f"  winner: {knobs}", file=out)
             if args.warm:
-                system.run(args.model, cell.dataset, cell.X, cell.spec,
-                           opt="search")
+                system.profile(args.model, cell.dataset, cell.X, cell.spec,
+                               opt="search")
         if args.store:
             store.save(args.store)
             if not as_json:
@@ -1289,7 +1291,8 @@ COMMANDS: dict[str, Command] = {
         options=(
             _LEVEL,
             _opt("--budget", type=int, default=16,
-                 help="max candidate plans a searching pass may score"),
+                 help="max candidate plans the kernel search scores, in "
+                 "all (default 16)"),
         ),
     ),
     "opt": Command(
@@ -1300,24 +1303,26 @@ COMMANDS: dict[str, Command] = {
         options=(
             _LEVEL,
             _opt("--budget", type=int, default=32,
-                 help="max candidate plans a searching pass may score"),
+                 help="max candidate plans the kernel search scores, in "
+                 "all (default 32)"),
         ),
     ),
     "tune": Command(
         cmd_tune, "auto-tune the compute-kernel knob space of one or more "
         "cells; persists winners in the tuned-plan store",
-        "(a deterministic, budgeted, seeded search; run/serve --opt search "
-        "replay the winners)", cell=CELL[:2], formats=("json",),
+        "(the kernel search of --opt search, run once per cell; run/serve "
+        "--opt search replay the winners)", cell=CELL[:2], formats=("json",),
         options=(
             _opt("--dataset", action="append", default=None,
                  help="dataset abbreviation; repeatable (default: CR)"),
             _opt("--budget", type=int, default=32,
-                 help="max distinct candidate measurements per cell"),
+                 help="max candidate plans the kernel search scores per "
+                 "cell (default 32)"),
             _opt("--store", default=None, metavar="FILE",
                  help="load/save the tuned-plan store at this JSON path"),
             _opt("--warm", action="store_true",
-                 help="after tuning, run each cell with opt=search so the "
-                 "PlanCache holds the tuned plan"),
+                 help="after tuning, profile each cell with opt=search so "
+                 "the PlanCache holds the tuned plan's profile"),
         ),
     ),
     "udf": Command(

@@ -1,12 +1,12 @@
 """repro.opt: the optimize stage between lower and execute.
 
 A pass pipeline over the :class:`~repro.plan.ExecutionPlan` IR (dead-
-intermediate elimination, elementwise fusion, workload-mapping and
-launch-geometry selection) whose legality comes from the ``repro.lint``
-effect tables and whose profit comes from the shared ``cost_plan``
-model, plus a deterministic per-cell auto-tuner with a persisted
-:class:`TunedPlanStore` of winning configurations.  Entry points:
-``GNNSystem.profile(opt=...)`` and ``GNNSystem.run(opt=...)``,
+intermediate elimination, elementwise fusion, and one kernel search over
+the workload mapping and launch geometry) whose legality comes from the
+``repro.lint`` effect tables and whose profit comes from the shared
+``cost_plan`` model, plus an auto-tuner that runs the same search once
+per cell and persists its decision in a :class:`TunedPlanStore`.
+Entry points: ``GNNSystem.profile(opt=...)`` and ``GNNSystem.run(opt=...)``,
 ``repro opt`` / ``repro tune`` on the CLI,
 and :func:`optimize_plan` / :class:`AutoTuner` as a library.
 """
@@ -28,8 +28,7 @@ from .rewrites import (
     ApplyTunedKnobs,
     DeadIntermediateElimination,
     ElementwiseFusion,
-    LaunchTuning,
-    WorkloadMappingSelection,
+    KernelSearch,
     kernel_from_knobs,
     knobs_for_kernel,
 )
@@ -39,7 +38,6 @@ from .tuner import (
     AutoTuner,
     TunedPlanStore,
     TuningResult,
-    TuningTrial,
     get_tuned_store,
     set_tuned_store,
     tuning_key,
@@ -59,8 +57,7 @@ __all__ = [
     "ApplyTunedKnobs",
     "DeadIntermediateElimination",
     "ElementwiseFusion",
-    "LaunchTuning",
-    "WorkloadMappingSelection",
+    "KernelSearch",
     "kernel_from_knobs",
     "knobs_for_kernel",
     "PAPER_FIXED_KNOBS",
@@ -68,7 +65,6 @@ __all__ = [
     "AutoTuner",
     "TunedPlanStore",
     "TuningResult",
-    "TuningTrial",
     "get_tuned_store",
     "set_tuned_store",
     "tuning_key",

@@ -62,8 +62,9 @@ __all__ = [
 #: optimizer levels ``GNNSystem.profile``/``run(opt=...)`` accept, in
 #: increasing aggressiveness: "off" = lower-and-run (the pre-optimizer behavior),
 #: "safe" = rewrites that need no search (dead-intermediate elimination +
-#: elementwise fusion), "search" = "safe" plus workload-mapping and
-#: launch-geometry selection over the kernel knob space.
+#: elementwise fusion), "search" = "safe" plus the kernel search over the
+#: mapping and launch-geometry knob space (or the replay of its persisted
+#: decision).
 OPT_LEVELS = ("off", "safe", "search")
 
 
@@ -115,9 +116,9 @@ class PassContext:
     #: the Dataset being lowered (or None) — carries the full-size hints
     #: TLPGNN's hybrid heuristic and the tuner key use
     dataset: Any = None
-    #: max candidate plans a searching pass may score
+    #: max candidate plans the kernel search scores, in all
     budget: int = 16
-    #: seed for any candidate-order shuffling (determinism contract)
+    #: seed of the kernel search's launch-grid subsample
     seed: int = 0
     #: tuned knob dict from the TunedPlanStore (drives ApplyTunedKnobs)
     tuned: dict[str, Any] | None = None
@@ -234,18 +235,18 @@ def default_pipeline(
 ) -> PassPipeline:
     """The standard pipeline for an optimizer level.
 
-    At ``"search"`` with a tuned knob dict available, the expensive
-    mapping/launch searches are replaced by :class:`~repro.opt.rewrites.
-    ApplyTunedKnobs` — the warm-deploy path that replays a persisted
-    tuner decision without re-searching.
+    At ``"search"`` with a tuned knob dict available, the kernel search
+    is replaced by :class:`~repro.opt.rewrites.ApplyTunedKnobs` — the
+    warm-deploy path that replays a persisted tuner decision (the same
+    search's, run by :class:`~repro.opt.tuner.AutoTuner`) without
+    searching again.
     """
     # local import: rewrites imports this module for the base classes
     from .rewrites import (
         ApplyTunedKnobs,
         DeadIntermediateElimination,
         ElementwiseFusion,
-        LaunchTuning,
-        WorkloadMappingSelection,
+        KernelSearch,
     )
 
     if level not in OPT_LEVELS:
@@ -257,10 +258,7 @@ def default_pipeline(
         ElementwiseFusion(),
     ]
     if level == "search":
-        if tuned:
-            passes.append(ApplyTunedKnobs())
-        else:
-            passes.extend([WorkloadMappingSelection(), LaunchTuning()])
+        passes.append(ApplyTunedKnobs() if tuned else KernelSearch())
     return PassPipeline(passes=passes)
 
 

@@ -12,16 +12,16 @@ Four rewrite families, in the order the default pipeline runs them:
   The fused op keeps the intermediate in registers: its counter model
   drops the producer's stores and the consumer's re-loads of that buffer
   and stops materializing its workspace.
-* :class:`WorkloadMappingSelection` — re-bind the plan's compute kernel
-  across the level-1 mapping space the paper sweeps by hand (warp-per-
+* :class:`KernelSearch` — re-bind the plan's compute kernel to the
+  winner of :func:`search_kernel`, which searches the paper's two design
+  axes as one space: the level-1 mapping it sweeps by hand (warp-per-
   vertex TLPGNN variants, thread-per-vertex, CTA-per-vertex, warp-per-
-  edge-chunk, edge-centric atomics), scoring each full plan with the
-  shared cost model.  Safe because a plan's output is the shared
-  reference aggregation of its compute step, whatever kernel its conv op
-  launches.
-* :class:`LaunchTuning` — grid search over the surviving TLPGNN kernel's
-  launch geometry: warps-per-block (thread count), ``step`` (software-
-  pool chunk), and ``group_size`` (feature tiling — Figure 11's knob).
+  edge-chunk, edge-centric atomics), then the launch geometry of every
+  TLPGNN mapping point — warps-per-block (thread count), ``step``
+  (software-pool chunk) and ``group_size`` (feature tiling, Figure 11's
+  knob).  Each candidate is the full plan scored with the shared cost
+  model.  Safe because a plan's output is the shared reference
+  aggregation of its compute step, whatever kernel its conv op launches.
 * :class:`ApplyTunedKnobs` — replay a persisted tuner decision (a knob
   dict from the :class:`~repro.opt.tuner.TunedPlanStore`) without
   searching; the warm-deploy fast path.
@@ -53,8 +53,8 @@ from .passes import PassContext, PlanPass, modeled_runtime_s
 __all__ = [
     "DeadIntermediateElimination",
     "ElementwiseFusion",
-    "WorkloadMappingSelection",
-    "LaunchTuning",
+    "KernelSearch",
+    "search_kernel",
     "ApplyTunedKnobs",
     "kernel_from_knobs",
     "knobs_for_kernel",
@@ -414,7 +414,7 @@ class ElementwiseFusion(PlanPass):
 
 
 # ----------------------------------------------------------------------
-# workload-mapping selection (level-1 parallelism)
+# the kernel search (level-1 mapping, then launch geometry)
 # ----------------------------------------------------------------------
 def _tlpgnn_hints(ctx: PassContext) -> dict[str, Any]:
     if ctx.dataset is None:
@@ -445,34 +445,6 @@ def mapping_candidates(workload: Any, ctx: PassContext) -> list[Any]:
     return [k for k in cands if k.supports(workload)]
 
 
-class WorkloadMappingSelection(PlanPass):
-    """Pick the cheapest level-1 mapping for the plan's compute kernel."""
-
-    name = "workload-mapping"
-
-    def apply(
-        self, plan: ExecutionPlan, ctx: PassContext
-    ) -> ExecutionPlan | None:
-        idx = _conv_index(plan)
-        if idx is None:
-            return None
-        workload = plan.ops[idx].workload
-        current = plan.ops[idx].kernel
-        best_plan: ExecutionPlan | None = None
-        best_ms = modeled_runtime_s(plan, ctx.spec)
-        for kernel in mapping_candidates(workload, ctx)[: max(ctx.budget, 1)]:
-            if knobs_for_kernel(kernel) == knobs_for_kernel(current):
-                continue
-            cand = _with_kernel(plan, idx, kernel)
-            ms = modeled_runtime_s(cand, ctx.spec)
-            if ms < best_ms:  # strict: ties keep the incumbent mapping
-                best_plan, best_ms = cand, ms
-        return best_plan
-
-
-# ----------------------------------------------------------------------
-# launch tuning (thread count + feature tiling)
-# ----------------------------------------------------------------------
 #: the launch-geometry grid the paper sweeps in Figures 10-12
 WARPS_PER_BLOCK_GRID = (2, 4, 8)
 STEP_GRID = (4, 8, 16)
@@ -508,38 +480,74 @@ def launch_grid(kernel: TLPGNNKernel) -> list[TLPGNNKernel]:
     return variants
 
 
-class LaunchTuning(PlanPass):
-    """Grid-search the TLPGNN launch geometry under the cost model.
+def search_kernel(
+    plan: ExecutionPlan, ctx: PassContext
+) -> tuple[ExecutionPlan | None, float, int]:
+    """Search the compute kernel's configuration space under the cost model.
 
-    Only the compute kernel's geometry moves; the assignment policy and
-    register-cache choice (semantic knobs the mapping pass owns) stay
-    fixed.  With a budget below the grid size, a seeded deterministic
-    subsample is scored — the incumbent configuration always included.
+    Scores every :func:`mapping_candidates` point in order, then the
+    :func:`launch_grid` of every TLPGNN mapping point (the incumbent's
+    included), cheapest point first.  A point's grid is searched even
+    when another mapping leads: a launch geometry can overtake it.  At
+    most ``ctx.budget`` candidates are scored; the incumbent is not one,
+    and a knob dict already seen is skipped.  A grid larger than the
+    budget left is subsampled in ``ctx.seed`` order.  The winner is the
+    strictly cheapest candidate; a tie keeps the earlier one.
+
+    Returns the winning plan (None when nothing beats ``plan``), its
+    modeled seconds, and the number of candidates scored.
     """
+    best_s = modeled_runtime_s(plan, ctx.spec)
+    idx = _conv_index(plan)
+    if idx is None:
+        return None, best_s, 0
+    incumbent = plan.ops[idx].kernel
+    best: ExecutionPlan | None = None
+    # the incumbent's knobs, then each scored candidate's
+    seen = [knobs_for_kernel(incumbent)]
+    # (modeled seconds, kernel) of each TLPGNN mapping point
+    points: list[tuple[float, TLPGNNKernel]] = []
+    if isinstance(incumbent, TLPGNNKernel):
+        points.append((best_s, incumbent))
 
-    name = "launch-tuning"
+    def score(kernel: Any) -> float:
+        nonlocal best, best_s
+        seen.append(knobs_for_kernel(kernel))
+        cand = _with_kernel(plan, idx, kernel)
+        s = modeled_runtime_s(cand, ctx.spec)
+        if s < best_s:  # strict: ties keep the earlier candidate
+            best, best_s = cand, s
+        return s
+
+    for kernel in mapping_candidates(plan.ops[idx].workload, ctx):
+        if len(seen) > ctx.budget:
+            break
+        if knobs_for_kernel(kernel) not in seen:
+            s = score(kernel)
+            if isinstance(kernel, TLPGNNKernel):
+                points.append((s, kernel))
+    for _, point in sorted(points, key=lambda p: p[0]):
+        left = ctx.budget - (len(seen) - 1)
+        if left <= 0:
+            break
+        grid = [k for k in launch_grid(point) if knobs_for_kernel(k) not in seen]
+        if left < len(grid):
+            order = np.random.default_rng(ctx.seed).permutation(len(grid))
+            grid = [grid[int(j)] for j in order[:left]]
+        for kernel in grid:
+            score(kernel)
+    return best, best_s, len(seen) - 1
+
+
+class KernelSearch(PlanPass):
+    """Re-bind the compute kernel to the winner of :func:`search_kernel`."""
+
+    name = "kernel-search"
 
     def apply(
         self, plan: ExecutionPlan, ctx: PassContext
     ) -> ExecutionPlan | None:
-        idx = _conv_index(plan)
-        incumbent = None if idx is None else plan.ops[idx].kernel
-        if idx is None or not isinstance(incumbent, TLPGNNKernel):
-            return None
-        # the incumbent geometry is variants[0] and is already scored as
-        # `plan` itself, so only the rest consume search budget
-        rest = launch_grid(incumbent)[1:]
-        if len(rest) + 1 > ctx.budget:
-            order = np.random.default_rng(ctx.seed).permutation(len(rest))
-            rest = [rest[int(j)] for j in order[: max(ctx.budget - 1, 0)]]
-        best_plan: ExecutionPlan | None = None
-        best_ms = modeled_runtime_s(plan, ctx.spec)
-        for kernel in rest:
-            cand = _with_kernel(plan, idx, kernel)
-            ms = modeled_runtime_s(cand, ctx.spec)
-            if ms < best_ms:  # strict: ties keep the incumbent geometry
-                best_plan, best_ms = cand, ms
-        return best_plan
+        return search_kernel(plan, ctx)[0]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Per-cell auto-tuner + the persisted store of winning configurations.
 
-The tuner searches the compute-kernel knob space of one (dataset, model,
-GPUSpec) cell — the same space Figures 10-12 of the paper sweep by hand —
-with a *deterministic seeded* strategy: the candidate order is a fixed
-enumeration shuffled by ``numpy.random.default_rng(seed)``, the paper's
-fixed TLPGNN configuration and the as-lowered configuration are always
-measured regardless of budget, and every measurement is memoized by
-(plan fingerprint, knob dict), so re-running the tuner with the same
-inputs replays byte-identical decisions.
+The tuner runs the kernel search of ``opt="search"``
+(:func:`~repro.opt.rewrites.search_kernel`) once on one (dataset, model,
+GPUSpec) cell — the knob space Figures 10-12 of the paper sweep by hand —
+at its own ``budget`` and ``seed``, and persists the decision.  The
+search is deterministic, so a warm ``opt="search"`` serves exactly the
+plan a cold one would pick at that budget and seed.
 
 Winning configurations persist in the :class:`TunedPlanStore` keyed by
 :func:`tuning_key` — a content fingerprint over (system, model, graph,
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -40,16 +38,10 @@ from ..gpusim.config import V100, GPUSpec
 from ..identity import content_key, dataset_block, spec_payload, split_cell
 from ..obs.metrics import get_registry
 from ..obs.tracer import span
+from ..plan.ir import ExecutionPlan
 from ..verify import certify_plans
 from .passes import PassContext, modeled_runtime_s, optimize_plan
-from .rewrites import (
-    _conv_index,
-    _with_kernel,
-    kernel_from_knobs,
-    knobs_for_kernel,
-    launch_grid,
-    mapping_candidates,
-)
+from .rewrites import ApplyTunedKnobs, knobs_for_kernel, search_kernel
 
 __all__ = [
     "TUNER_VERSION",
@@ -58,7 +50,6 @@ __all__ = [
     "TunedPlanStore",
     "get_tuned_store",
     "set_tuned_store",
-    "TuningTrial",
     "TuningResult",
     "AutoTuner",
 ]
@@ -66,7 +57,7 @@ __all__ = [
 #: bump when the tuner's search space or decision rule changes — part of
 #: both the tuning key and the PlanCache opt payload, so stale tuned
 #: plans can never alias fresh ones
-TUNER_VERSION = 1
+TUNER_VERSION = 2
 
 #: the paper's fixed TLPGNN configuration (hybrid assignment, 4 warps /
 #: 128-thread blocks, step 8, full-warp feature tiles) — the baseline
@@ -259,15 +250,6 @@ def set_tuned_store(store: TunedPlanStore) -> TunedPlanStore:
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TuningTrial:
-    """One measured candidate configuration."""
-
-    knobs: dict[str, Any]
-    modeled_ms: float
-    cached: bool = False
-
-
 @dataclass
 class TuningResult:
     """Outcome of tuning one (dataset, model, spec) cell."""
@@ -283,9 +265,8 @@ class TuningResult:
     #: modeled ms of the winning configuration
     tuned_ms: float
     best_knobs: dict[str, Any]
-    trials: list[TuningTrial] = field(default_factory=list)
-    #: candidate measurements actually performed (<= budget by contract)
-    iterations: int = 0
+    #: candidates the search scored (<= budget by contract)
+    iterations: int
 
     @property
     def speedup_vs_fixed(self) -> float:
@@ -303,21 +284,15 @@ class TuningResult:
             "speedup_vs_fixed": self.speedup_vs_fixed,
             "best_knobs": self.best_knobs,
             "iterations": self.iterations,
-            "trials": [
-                {"knobs": t.knobs, "modeled_ms": t.modeled_ms}
-                for t in self.trials
-            ],
         }
 
 
 class AutoTuner:
-    """Deterministic budgeted search over one cell's knob space.
+    """Run the kernel search once on a cell and persist its decision.
 
-    ``budget`` bounds the number of *distinct candidate measurements*
-    per cell; the memoization cache means repeated knob dicts are free.
-    The paper-fixed configuration and the as-lowered configuration are
-    always measured (they anchor the tie-or-win guarantee and the
-    result's baselines) and count toward the budget.
+    ``budget`` bounds the candidates the search scores, as it does for
+    ``optimize_plan(level="search")``: at the same budget and seed both
+    pick the same plan.
     """
 
     def __init__(
@@ -328,47 +303,11 @@ class AutoTuner:
         store: TunedPlanStore | None = None,
     ) -> None:
         if budget < 2:
-            raise ValueError("budget must be >= 2 (baselines are measured)")
+            raise ValueError("budget must be >= 2")
         self.budget = budget
         self.seed = seed
         self.store = store
-        #: (plan fingerprint or graph name, canonical knob json) -> ms
-        self._measurements: dict[tuple[str, str], float] = {}
 
-    # ------------------------------------------------------------------
-    def _measure(
-        self, plan: Any, idx: int, kernel: Any, spec: GPUSpec
-    ) -> tuple[float, bool]:
-        """Modeled ms of `plan` with `kernel` rebound; memoized."""
-        knobs = knobs_for_kernel(kernel) or {"kernel": kernel.name}
-        cell = plan.fingerprint or f"{plan.system}/{plan.model}/{plan.graph_name}"
-        memo = (cell, json.dumps(knobs, sort_keys=True, default=str))
-        if memo in self._measurements:
-            return self._measurements[memo], True
-        cand = _with_kernel(plan, idx, kernel)
-        ms = modeled_runtime_s(cand, spec) * 1e3
-        self._measurements[memo] = ms
-        return ms, False
-
-    def candidates(self, workload: Any, ctx: PassContext) -> list[Any]:
-        """The full knob space for one cell, deterministically ordered."""
-        seen: set[str] = set()
-        space: list[Any] = []
-        for kernel in mapping_candidates(workload, ctx):
-            for variant in (
-                launch_grid(kernel)
-                if hasattr(kernel, "group_size")
-                else [kernel]
-            ):
-                tag = json.dumps(
-                    knobs_for_kernel(variant), sort_keys=True, default=str
-                )
-                if tag not in seen:
-                    seen.add(tag)
-                    space.append(variant)
-        return space
-
-    # ------------------------------------------------------------------
     def tune(
         self,
         system: Any,
@@ -380,32 +319,43 @@ class AutoTuner:
         """Search one cell; records the winner in the tuned-plan store."""
         plan = system.lower(model, data, X, spec)
         graph, dataset = split_cell(data)
-        # the searchable baseline: safe rewrites applied first, so the
-        # tuner searches mappings of the cleaned-up pipeline
+        # the searchable baseline: safe rewrites applied first, as the
+        # search-level pipeline does before its search
         plan, _ = optimize_plan(plan, spec, level="safe", dataset=dataset)
         key = tuning_key(
             system=system.name, model=model, graph=graph, X=X,
             spec=spec, dataset=dataset,
         )
-        conv = plan.conv_op
-        default_knobs = knobs_for_kernel(conv.kernel) if conv else None
-        idx = _conv_index(plan)
+        ctx = PassContext(
+            spec=spec, dataset=dataset, budget=self.budget, seed=self.seed
+        )
         with span("opt.tune", system=system.name, model=model,
                   graph=graph.name):
-            result = self._search(
-                plan, idx, key, spec, dataset, default_knobs
-            )
-        store = self.store if self.store is not None else get_tuned_store()
-        # translation-validate the winner before persisting it: rebuild
-        # the tuned plan exactly the way opt="search" will replay it and
-        # certify it against the safe-optimized default.  A non-equivalent
-        # winner is a tuner bug — refuse to persist knobs that change
-        # semantics rather than record them uncertified.
-        tuned_plan = plan
-        if idx is not None:
-            best_kernel = kernel_from_knobs(result.best_knobs, dataset=dataset)
-            if best_kernel is not None:
-                tuned_plan = _with_kernel(plan, idx, best_kernel)
+            winner, tuned_s, scored = search_kernel(plan, ctx)
+        default_ms = modeled_runtime_s(plan, spec) * 1e3
+        conv = (winner or plan).conv_op
+        kernel = None if conv is None else conv.kernel
+        # a kernel outside the knob vocabulary (or no conv op) replays as
+        # the lowered plan itself
+        best_knobs: dict[str, Any] = knobs_for_kernel(kernel) or {
+            "kernel": "reference" if kernel is None else kernel.name
+        }
+        fixed_plan = self._replay(plan, ctx, PAPER_FIXED_KNOBS)
+        fixed_ms = (
+            default_ms if fixed_plan is plan
+            else modeled_runtime_s(fixed_plan, spec) * 1e3
+        )
+        result = TuningResult(
+            system=plan.system, model=plan.model, graph=plan.graph_name,
+            key=key, fixed_ms=fixed_ms, default_ms=default_ms,
+            tuned_ms=tuned_s * 1e3, best_knobs=best_knobs, iterations=scored,
+        )
+        # translation-validate the winner before persisting it: certify
+        # the plan opt="search" will replay against the safe-optimized
+        # default.  A non-equivalent winner is a search bug — refuse to
+        # persist knobs that change semantics rather than record them
+        # uncertified.
+        tuned_plan = self._replay(plan, ctx, best_knobs)
         certification = certify_plans(tuned_plan, plan)
         if tuned_plan is not plan and not certification.certified:
             raise RuntimeError(
@@ -417,11 +367,12 @@ class AutoTuner:
             if certification.certificate is not None
             else None
         )
+        store = self.store if self.store is not None else get_tuned_store()
         store.record(
             key,
-            knobs=result.best_knobs,
+            knobs=best_knobs,
             tuned_ms=result.tuned_ms,
-            fixed_ms=result.fixed_ms,
+            fixed_ms=fixed_ms,
             cell={
                 "system": result.system,
                 "model": result.model,
@@ -432,77 +383,10 @@ class AutoTuner:
         )
         return result
 
-    def _search(
-        self,
-        plan: Any,
-        idx: int | None,
-        key: str,
-        spec: GPUSpec,
-        dataset: Any,
-        default_knobs: dict[str, Any] | None,
-    ) -> TuningResult:
-        default_ms = modeled_runtime_s(plan, spec) * 1e3
-        trials: list[TuningTrial] = []
-        iterations = 0
-
-        if idx is None:
-            # no rebindable compute kernel (conv-free baseline
-            # pipelines): the safe-optimized default is the decision
-            best = default_knobs or {"kernel": "reference"}
-            return TuningResult(
-                system=plan.system, model=plan.model, graph=plan.graph_name,
-                key=key, fixed_ms=default_ms, default_ms=default_ms,
-                tuned_ms=default_ms, best_knobs=best,
-                trials=trials, iterations=0,
-            )
-
-        ctx = PassContext(
-            spec=spec, dataset=dataset, budget=self.budget, seed=self.seed
-        )
-        workload = plan.ops[idx].workload
-
-        def measure(kernel: Any) -> float:
-            nonlocal iterations
-            ms, cached = self._measure(plan, idx, kernel, spec)
-            if not cached:
-                iterations += 1
-            trials.append(
-                TuningTrial(
-                    knobs=knobs_for_kernel(kernel) or {},
-                    modeled_ms=ms,
-                    cached=cached,
-                )
-            )
-            return ms
-
-        # anchors first: the paper-fixed config and the as-lowered config
-        fixed_kernel = kernel_from_knobs(PAPER_FIXED_KNOBS, dataset=dataset)
-        fixed_ms = measure(fixed_kernel)
-        best_knobs, best_ms = dict(PAPER_FIXED_KNOBS), fixed_ms
-        if default_knobs and default_knobs != PAPER_FIXED_KNOBS:
-            default_kernel = kernel_from_knobs(default_knobs, dataset=dataset)
-            if default_kernel is not None:
-                ms = measure(default_kernel)
-                if ms < best_ms:
-                    best_knobs, best_ms = dict(default_knobs), ms
-
-        space = [
-            k
-            for k in self.candidates(workload, ctx)
-            if knobs_for_kernel(k) not in (PAPER_FIXED_KNOBS, default_knobs)
-        ]
-        order = np.random.default_rng(self.seed).permutation(len(space))
-        for j in order:
-            if iterations >= self.budget:
-                break
-            kernel = space[int(j)]
-            ms = measure(kernel)
-            if ms < best_ms:  # strict: ties keep the earlier candidate
-                best_knobs, best_ms = knobs_for_kernel(kernel) or {}, ms
-
-        return TuningResult(
-            system=plan.system, model=plan.model, graph=plan.graph_name,
-            key=key, fixed_ms=fixed_ms, default_ms=default_ms,
-            tuned_ms=best_ms, best_knobs=best_knobs,
-            trials=trials, iterations=iterations,
-        )
+    @staticmethod
+    def _replay(
+        plan: ExecutionPlan, ctx: PassContext, knobs: dict[str, Any]
+    ) -> ExecutionPlan:
+        """``plan`` with ``knobs`` applied the way a warm ``opt="search"``
+        replays them (``plan`` itself where they change nothing)."""
+        return ApplyTunedKnobs().apply(plan, replace(ctx, tuned=knobs)) or plan

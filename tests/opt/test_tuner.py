@@ -1,10 +1,18 @@
-"""Auto-tuner contracts: determinism, budget, tie-or-win, persistence,
-fingerprint separation, and the metrics mirror."""
+"""Auto-tuner contracts: determinism, budget, tie-or-win, the decision
+``opt="search"`` makes, persistence, fingerprint separation, and the
+metrics mirror."""
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import BenchConfig, get_dataset, make_features
+from repro.bench.harness import (
+    BenchConfig,
+    Cell,
+    get_dataset,
+    load_cell,
+    make_features,
+    walk_grid,
+)
 from repro.frameworks import SYSTEMS
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.opt import (
@@ -12,11 +20,18 @@ from repro.opt import (
     TUNER_VERSION,
     AutoTuner,
     TunedPlanStore,
-    get_tuned_store,
+    kernel_from_knobs,
+    knobs_for_kernel,
+    modeled_runtime_s,
+    optimize_plan,
     set_tuned_store,
     tuning_key,
 )
+from repro.opt.rewrites import _conv_index, _with_kernel
 from repro.plan.cache import plan_fingerprint
+
+#: the scale of the cells the search-decision tests tune
+_SMALL = BenchConfig(max_edges=60_000)
 
 
 @pytest.fixture(scope="module")
@@ -65,16 +80,63 @@ class TestSearch:
         assert a.best_knobs == b.best_knobs
         assert a.tuned_ms == b.tuned_ms
         assert a.fixed_ms == b.fixed_ms
-        assert [t.knobs for t in a.trials] == [t.knobs for t in b.trials]
+        assert a.iterations == b.iterations
 
     def test_anchors_always_measured(self, cell):
+        ds, X, spec = cell
         result = _tune(cell, budget=2)
-        assert result.trials[0].knobs == PAPER_FIXED_KNOBS
-        assert result.fixed_ms == result.trials[0].modeled_ms
+        plan = SYSTEMS["TLPGNN"]().lower("gcn", ds, X, spec)
+        safe, _ = optimize_plan(plan, spec, level="safe", dataset=ds)
+        fixed = _with_kernel(
+            safe, _conv_index(safe),
+            kernel_from_knobs(PAPER_FIXED_KNOBS, dataset=ds),
+        )
+        assert result.fixed_ms == modeled_runtime_s(fixed, spec) * 1e3
 
     def test_budget_floor_enforced(self):
         with pytest.raises(ValueError):
             AutoTuner(budget=1)
+
+
+class TestSearchDecision:
+    """The tuner persists the decision opt="search" makes: the same search
+    at the same budget and seed, so a warm replay is never slower."""
+
+    @pytest.mark.parametrize("abbr", ["CR", "PD", "RD"])
+    def test_tuner_returns_the_search_decision(self, abbr):
+        cells = walk_grid(
+            [load_cell(abbr, _SMALL)], Cell.lower, models=["gcn", "gat"]
+        )
+        searched_cells = 0
+        for cell, model, system, plan in cells:
+            if isinstance(plan, Exception):  # a dash: nothing to tune
+                continue
+            searched_cells += 1
+            for budget in (12, 32):
+                result = AutoTuner(
+                    budget=budget, seed=7, store=TunedPlanStore()
+                ).tune(
+                    SYSTEMS[system](), model, cell.dataset, cell.X, cell.spec
+                )
+                searched, _ = optimize_plan(
+                    plan, cell.spec, level="search", dataset=cell.dataset,
+                    budget=budget, seed=7,
+                )
+                conv = searched.conv_op
+                knobs = (
+                    {"kernel": "reference"} if conv is None
+                    else knobs_for_kernel(conv.kernel)
+                    or {"kernel": conv.kernel.name}
+                )
+                label = (system, model, budget)
+                assert result.best_knobs == knobs, label
+                assert result.tuned_ms == (
+                    modeled_runtime_s(searched, cell.spec) * 1e3
+                ), label
+                assert result.tuned_ms <= result.default_ms, label
+                assert result.tuned_ms <= result.fixed_ms, label
+                assert result.iterations <= budget, label
+        assert searched_cells
 
 
 class TestStore:
@@ -189,18 +251,29 @@ class TestFingerprintSeparation:
 
 
 class TestRunIntegration:
-    def test_search_run_hits_tuned_store(self, cell, fresh_store):
-        ds, X, spec = cell
-        tuner = AutoTuner(budget=8, seed=0)  # records into process store
-        result = tuner.tune(SYSTEMS["TLPGNN"](), "gcn", ds, X, spec)
-        before = get_tuned_store().snapshot()
-        out = SYSTEMS["TLPGNN"]().run("gcn", ds, X, spec, opt="search")
-        after = get_tuned_store().snapshot()
-        assert after["hits"] == before["hits"] + 1
-        # the tuned path still computes the exact reference bytes
-        base = SYSTEMS["TLPGNN"]().run("gcn", ds, X, spec).output
-        assert np.array_equal(out.output, base)
-        assert result.key in get_tuned_store()
+    def test_search_run_hits_tuned_store(self, fresh_store):
+        """A warm opt="search" replays the tuned plan: one store hit, the
+        reference output bytes, and the runtime of a cold opt="search"
+        from an empty store.  The tuner runs at the cold path's own
+        budget and seed (16, 0), and at the CLI's budget with another
+        seed (32, 7)."""
+        tlp = SYSTEMS["TLPGNN"]()
+        for abbr in ("CR", "PD", "RD"):
+            cell = load_cell(abbr, _SMALL)
+            args = ("gcn", cell.dataset, cell.X, cell.spec)
+            cold = tlp.profile(*args, opt="search")
+            reference = tlp.run(*args).output
+            for budget, seed in ((16, 0), (32, 7)):
+                store = TunedPlanStore()
+                set_tuned_store(store)  # the fixture restores the old one
+                result = AutoTuner(budget=budget, seed=seed).tune(tlp, *args)
+                warm = tlp.run(*args, opt="search")
+                label = (abbr, budget, seed)
+                assert store.hits == 1, label
+                assert result.key in store, label
+                assert warm.runtime_ms == cold.runtime_ms, label
+                # the tuned path still computes the exact reference bytes
+                assert np.array_equal(warm.output, reference), label
 
     def test_tuning_key_ignores_feature_values(self, cell):
         ds, X, spec = cell

@@ -6,8 +6,9 @@ tree *before* the key builders moved into :mod:`repro.identity`::
     PYTHONPATH=src python -m tests.test_cell_key_pins --write
 
 The three ``plan.*`` digests were written again when the plan-cache key
-dropped the feature bytes for their shape and dtype; the other eight
-are the original pins.  It pins the plan-cache key (no optimizer, ``safe``, and ``search`` with
+dropped the feature bytes for their shape and dtype, and the two
+``tune.*`` digests when ``TUNER_VERSION`` went to 2 (the tuner's decision
+rule changed); the other six are the original pins.  It pins the plan-cache key (no optimizer, ``safe``, and ``search`` with
 tuned knobs), the tuned-store key, the archive fingerprint (with and
 without the graph), two verifier normal-form digests and one certificate
 ``cert_id``.  The cells use no RNG: a fixed 10-vertex CSR graph and

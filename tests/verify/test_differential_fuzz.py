@@ -21,9 +21,17 @@ from repro.mp import MessageSpec, ReduceSpec, SelfTerm, SymNorm, bind
 from repro.opt import (
     DeadIntermediateElimination,
     ElementwiseFusion,
-    LaunchTuning,
+    KernelSearch,
+    PassContext,
     PassPipeline,
-    WorkloadMappingSelection,
+    knobs_for_kernel,
+)
+from repro.opt.rewrites import (
+    _conv_index,
+    _with_kernel,
+    launch_grid,
+    mapping_candidates,
+    search_kernel,
 )
 from repro.plan import execute_plan
 from repro.plan.ir import plan_for_kernel
@@ -45,9 +53,12 @@ _LEGAL_SPECS = [
 _PASSES = [
     DeadIntermediateElimination,
     ElementwiseFusion,
-    WorkloadMappingSelection,
-    LaunchTuning,
+    KernelSearch,
 ]
+
+#: the kernel search scores the mappings first (at most six beside the
+#: incumbent); this budget leaves launch geometries to score after them
+_BUDGET = 10
 
 
 def _workload(spec_idx, num_vertices, num_edges, feat_dim, seed):
@@ -80,7 +91,7 @@ def test_certified_rewrites_are_byte_identical(
 
     passes = [cls() for i, cls in enumerate(_PASSES) if pass_mask & (1 << i)]
     rewritten, _records = PassPipeline(passes=passes).run(
-        plan, V100, budget=4, seed=seed
+        plan, V100, budget=_BUDGET, seed=seed
     )
 
     result = certify_plans(rewritten, plan)
@@ -128,3 +139,38 @@ def test_every_legal_spec_normalizes(spec_idx):
         pytest.skip("kernel declines this workload shape")
     nf = normalize_plan(plan_for_kernel(kernel, workload))
     assert nf.provable, [f.render() for f in nf.findings]
+
+
+@pytest.mark.parametrize("spec_idx", range(len(_LEGAL_SPECS)))
+def test_fuzz_budget_reaches_the_launch_grid(spec_idx):
+    """At the fuzz's budget the search scores every mapping and then some
+    launch geometries, so the fuzz pipelines weigh geometry rewrites."""
+    workload = _workload(spec_idx, 12, 40, 4, seed=1)
+    kernel = TLPGNNKernel()
+    if not kernel.supports(workload):
+        pytest.skip("kernel declines this workload shape")
+    ctx = PassContext(spec=V100, budget=_BUDGET, seed=1)
+    mappings = [
+        k for k in mapping_candidates(workload, ctx)
+        if knobs_for_kernel(k) != knobs_for_kernel(kernel)
+    ]
+    _, _, scored = search_kernel(plan_for_kernel(kernel, workload), ctx)
+    assert scored > len(mappings)
+
+
+@pytest.mark.parametrize("spec_idx", range(len(_LEGAL_SPECS)))
+def test_every_launch_geometry_certifies(spec_idx):
+    """Every launch geometry the search may pick certifies against the
+    default one and executes byte-identically.  On the fuzz's graphs the
+    cost model keeps the default geometry, so each is checked here."""
+    workload = _workload(spec_idx, 12, 40, 4, seed=1)
+    kernel = TLPGNNKernel()
+    if not kernel.supports(workload):
+        pytest.skip("kernel declines this workload shape")
+    plan = plan_for_kernel(kernel, workload)
+    expected = execute_plan(plan).tobytes()
+    for variant in launch_grid(kernel)[1:]:
+        knobs = knobs_for_kernel(variant)
+        rebound = _with_kernel(plan, _conv_index(plan), variant)
+        assert certify_plans(rebound, plan).certified, knobs
+        assert execute_plan(rebound).tobytes() == expected, knobs
