@@ -50,6 +50,14 @@ def _opt(*flags: str, **kwargs: Any) -> Option:
     return flags, kwargs
 
 
+def _budget(text: str) -> int:
+    """``--budget``: a count of candidate plans, so never negative."""
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
+
+
 def _model_choices() -> list[str]:
     """CLI model names come from the UDF registry, not a frozen list —
     models registered before ``main()`` are immediately runnable."""
@@ -441,21 +449,17 @@ def cmd_validate(args, config, out) -> int:
 # ----------------------------------------------------------------------
 # serving
 # ----------------------------------------------------------------------
-def _serve_preflight(servable, streams: int, out) -> int:
-    """``serve --lint``: statically verify the plan and its cross-stream
-    schedule before admitting any traffic.  Non-zero = refuse to serve."""
-    from .lint import lint_plan, lint_schedule, serving_schedule
+def _serve_preflight(servable, out) -> int:
+    """``serve --lint``: statically lint the served plan before admitting
+    any traffic.  Non-zero = refuse to serve."""
+    from .lint import lint_plan
 
     plan = servable.system.lower(
         servable.model, servable.data, servable.X, servable.spec
     )
     report = lint_plan(plan, servable.spec)
-    sched_report = lint_schedule(
-        serving_schedule(plan, num_streams=max(streams, 1), batches=2)
-    )
     print(report.render(), file=out)
-    print(sched_report.render(), file=out)
-    if report.errors or sched_report.errors:
+    if report.errors:
         print("serve preflight: REFUSED (error-severity findings)", file=out)
         return 1
     print("serve preflight: ok", file=out)
@@ -526,9 +530,7 @@ def cmd_serve(args, config, out) -> int:
             servable = _servable(args, config, out, opt=args.opt)
             if servable is None:
                 return 1
-            if args.lint and (
-                rc := _serve_preflight(servable, args.num_streams, out)
-            ):
+            if args.lint and (rc := _serve_preflight(servable, out)):
                 return rc
             if args.certified and (rc := _certified_preflight(servable, out)):
                 return rc
@@ -689,18 +691,17 @@ def _write_baseline(path: str, findings: list[dict]) -> None:
 
 
 def _explain(code: str, out) -> int:
-    """``lint --explain CODE``: one registry entry, or exit 2 with the
-    nearest registered code suggested."""
+    """``lint --explain CODE``: one registry entry or retired code, or
+    exit 2 with the nearest registered code suggested."""
     import difflib
 
-    from .lint import RULES, explain
+    from .lint import RETIRED, RULES, explain
 
-    if code.upper() in RULES:
+    known = sorted([*RULES, *RETIRED])
+    if code.upper() in known:
         print(explain(code.upper()), file=out)
         return 0
-    close = difflib.get_close_matches(
-        code.upper(), sorted(RULES), n=1, cutoff=0.4
-    )
+    close = difflib.get_close_matches(code.upper(), known, n=1, cutoff=0.4)
     hint = f" — did you mean {close[0]}?" if close else ""
     print(f"unknown finding code: {code}{hint}", file=out)
     return 2
@@ -708,7 +709,7 @@ def _explain(code: str, out) -> int:
 
 def cmd_lint(args, config, out) -> int:
     """Statically lint the lowered plans of a grid of cells (no execution)."""
-    from .lint import finding_rows, lint_plan, race_findings, sarif_log, serving_schedule
+    from .lint import finding_rows, lint_plan, sarif_log
     from .lint.report import LintReport
 
     if args.explain:
@@ -736,19 +737,11 @@ def cmd_lint(args, config, out) -> int:
             )
             continue
         report = lint_plan(plan, cell.spec)
-        findings = list(report.findings)
-        if args.streams > 0:
-            # concurrency self-check: the schedule repro serve would run
-            # (N batches of this plan, least-loaded stream assignment)
-            # must be HB race-free
-            findings += race_findings(
-                serving_schedule(plan, num_streams=args.streams, batches=2)
-            )
         cells += 1
-        rows = finding_rows(report.plan_label, findings)
+        rows = finding_rows(report.plan_label, report.findings)
         all_rows += rows
         kept = [
-            (f, row) for f, row in zip(findings, rows, strict=True)
+            (f, row) for f, row in zip(report.findings, rows, strict=True)
             if _baseline_key(row) not in baseline
         ]
         kept_rows += [row for _, row in kept]
@@ -1203,9 +1196,8 @@ COMMANDS: dict[str, Command] = {
                  help="small fast run + conservation self-check (CI)"),
             _OPT,
             _opt("--lint", action="store_true",
-                 help="preflight: statically lint the served plan and its "
-                 "cross-stream schedule; refuse to serve on error-severity "
-                 "findings"),
+                 help="preflight: statically lint the served plan; refuse "
+                 "to serve on error-severity findings"),
             _opt("--certified", action="store_true",
                  help="preflight: refuse to serve unless the tuned-plan "
                  "store holds a valid equivalence certificate for this "
@@ -1276,11 +1268,8 @@ COMMANDS: dict[str, Command] = {
                  "suppressions that match no current finding"),
             _opt("--explain", default=None, metavar="CODE",
                  help="print the registry entry for one finding code (e.g. "
-                 "ACC002) and exit; unknown codes exit 2 with the nearest "
-                 "registered code suggested"),
-            _opt("--streams", type=int, default=2,
-                 help="streams for the per-cell serving race self-check "
-                 "(default 2; 0 disables the check)"),
+                 "ACC002), or why a retired code went, and exit; unknown "
+                 "codes exit 2 with the nearest registered code suggested"),
         ),
     ),
     "verify": Command(
@@ -1290,7 +1279,7 @@ COMMANDS: dict[str, Command] = {
         "term and exits 1", cell=GRID, formats=("json", "sarif"),
         options=(
             _LEVEL,
-            _opt("--budget", type=int, default=16,
+            _opt("--budget", type=_budget, default=16,
                  help="max candidate plans the kernel search scores, in "
                  "all (default 16)"),
         ),
@@ -1302,7 +1291,7 @@ COMMANDS: dict[str, Command] = {
         cell=("DATASET", "MODEL", "systems"), formats=("json",),
         options=(
             _LEVEL,
-            _opt("--budget", type=int, default=32,
+            _opt("--budget", type=_budget, default=32,
                  help="max candidate plans the kernel search scores, in "
                  "all (default 32)"),
         ),
@@ -1315,9 +1304,9 @@ COMMANDS: dict[str, Command] = {
         options=(
             _opt("--dataset", action="append", default=None,
                  help="dataset abbreviation; repeatable (default: CR)"),
-            _opt("--budget", type=int, default=32,
+            _opt("--budget", type=_budget, default=32,
                  help="max candidate plans the kernel search scores per "
-                 "cell (default 32)"),
+                 "cell; 0 records the lowered kernel (default 32)"),
             _opt("--store", default=None, metavar="FILE",
                  help="load/save the tuned-plan store at this JSON path"),
             _opt("--warm", action="store_true",

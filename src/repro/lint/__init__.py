@@ -11,22 +11,20 @@ the declarative effect tables every kernel op carries:
 * :mod:`~repro.lint.access` — the symbolic per-lane access-pattern IR:
   static coalescing classes, divergence sources, and bounds verification
   (ACC001 error, ACC002-ACC004 warnings, DIV001/DIV002, OOB001 error),
-* :mod:`~repro.lint.hazards` — def-use races, fusion-boundary RAW
-  hazards, plan-cache-unsafe rng reads (HAZ001-HAZ004, errors),
+* :mod:`~repro.lint.hazards` — undeclared effects, def-use races and
+  fusion-boundary RAW hazards (HAZ001-HAZ003, errors),
 * :mod:`~repro.lint.resources` — launch envelopes vs GPUSpec limits
   (RES001-RES004 errors, RES005 low-occupancy warning),
-* :mod:`~repro.lint.determinism` — atomic float reductions and rng reads
-  as order-nondeterminism warnings (DET001/DET002),
+* :mod:`~repro.lint.determinism` — atomic float reductions as
+  order-nondeterminism warnings (DET001),
 * :mod:`~repro.lint.dataflow` — whole-plan shape/dtype abstract
   interpretation (SHAPE001-SHAPE004, errors) and liveness / peak-HBM
   bounds (LIVE001 error, LIVE002 warning), with the ``dead_transients``
   liveness export the optimizer's dead-intermediate elimination proves
   its legality with,
-* :mod:`~repro.lint.sched` — cross-stream happens-before race detection
-  over serving schedules (RACE001/RACE002 errors, RACE003 warning) plus
-  the seeded vector-clock replay that pins the static verdicts,
 * :mod:`~repro.lint.registry` — the one finding-code table (code →
-  severity, summary, doc anchor) every analysis constructs through,
+  severity, summary, doc anchor) every analysis constructs through, and
+  the retired codes no program can produce any more,
 * :mod:`~repro.lint.report` — severity-ranked findings and rendering.
 
 Entry points: :func:`lint_plan` (used by ``python -m repro lint``,
@@ -77,7 +75,7 @@ from .effects import (
     reassociating_merges,
 )
 from .hazards import hazard_findings
-from .registry import RULES, RuleInfo, explain, make_finding, rule_info
+from .registry import RETIRED, RULES, RuleInfo, explain, make_finding, rule_info
 from .report import (
     Finding,
     LintReport,
@@ -87,21 +85,10 @@ from .report import (
 )
 from .resources import resource_findings
 from .sarif import SARIF_SCHEMA, SARIF_VERSION, sarif_log, sarif_rules
-from .sched import (
-    ScheduledPlan,
-    StreamSchedule,
-    VectorClockChecker,
-    cross_validate_races,
-    default_shared,
-    lint_schedule,
-    race_findings,
-    replay_schedule,
-    serving_schedule,
-    static_race_keys,
-)
 
 __all__ = [
     "COALESCED_SPR_MAX",
+    "RETIRED",
     "RULES",
     "SARIF_SCHEMA",
     "SARIF_VERSION",
@@ -117,19 +104,14 @@ __all__ = [
     "LiveRange",
     "PlanSymbols",
     "RuleInfo",
-    "ScheduledPlan",
-    "StreamSchedule",
     "TRANSIENT_PREFIX",
-    "VectorClockChecker",
     "Finding",
     "LintReport",
     "access_findings",
     "conv_read_buffers",
     "cross_validate_access",
     "cross_validate_effects",
-    "cross_validate_races",
     "dead_transients",
-    "default_shared",
     "determinism_findings",
     "effect_table",
     "explain",
@@ -138,35 +120,26 @@ __all__ = [
     "infer_buffer_shapes",
     "is_transient",
     "lint_plan",
-    "lint_schedule",
     "live_ranges",
     "liveness_findings",
     "make_finding",
     "op_sector_class",
     "peak_footprint",
     "plan_symbols",
-    "race_findings",
     "reassociating_merges",
-    "replay_schedule",
     "resource_findings",
     "rule_info",
     "sarif_log",
     "sarif_rules",
     "sector_class",
-    "serving_schedule",
     "severity_rank",
     "shape_findings",
     "sort_findings",
-    "static_race_keys",
 ]
 
 
 def lint_plan(plan: Any, spec: GPUSpec = V100) -> LintReport:
-    """Run all six per-plan analyses over one lowered plan.
-
-    (Cross-stream race detection needs a :class:`StreamSchedule`, not a
-    single plan — see :func:`lint_schedule` / ``serve --lint``.)
-    """
+    """Run all six per-plan analyses over one lowered plan."""
     findings = hazard_findings(plan)
     findings += resource_findings(plan, spec)
     findings += determinism_findings(plan)

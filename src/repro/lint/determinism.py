@@ -11,8 +11,6 @@ arrival order, which varies run to run — same math, different rounding.
   the plan's output is order-nondeterministic.  Every DGL-sim GAT plan (the
   ``spmm_coo_atomic`` path) and every GNNAdvisor neighbor-group plan draws
   this; TLPGNN plans must not.  An atomic ``max`` merge is order-free.
-* **DET002** (warning) — an rng-consuming op: reproducible only when the
-  caller pins the generator (the cache-safety side is HAZ004).
 """
 
 from __future__ import annotations
@@ -44,15 +42,6 @@ def determinism_findings(plan: Any) -> list[Finding]:
                     "order-nondeterministic",
                     op=op.name,
                     buffer=buffer,
-                )
-            )
-        if eff.reads_rng:
-            findings.append(
-                make_finding(
-                    "DET002",
-                    "op consumes host randomness — reproducible only "
-                    "under a caller-pinned generator",
-                    op=op.name,
                 )
             )
     return findings

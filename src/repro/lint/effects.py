@@ -13,8 +13,7 @@ The table is the *claim*; three things keep it honest:
 
 * the hazard analysis (:mod:`repro.lint.hazards`) rejects plans whose
   claims are inconsistent (non-exclusive writes without a declared atomic
-  merge, reads of never-written transients, rng reads under a content
-  fingerprint),
+  merge, reads of never-written transients),
 * the resource analysis (:mod:`repro.lint.resources`) checks the declared
   launch envelope against :class:`~repro.gpusim.config.GPUSpec` limits,
 * :func:`cross_validate_effects` replays the kernel through the exact
@@ -110,8 +109,6 @@ class KernelEffects:
     #: total element-level atomic RMW operations the launch performs
     #: (must equal ``KernelStats.atomic_ops`` / the micro-sim count)
     atomic_ops: int = 0
-    #: the op consumes host randomness — unsafe under a content fingerprint
-    reads_rng: bool = False
 
     def __post_init__(self) -> None:
         if self.atomic_ops < 0:
@@ -146,8 +143,6 @@ class KernelEffects:
                 "atomic " + ",".join(self.atomics)
                 + f" ({self.atomic_ops} ops)"
             )
-        if self.reads_rng:
-            parts.append("reads rng")
         return " -> ".join(parts) if parts else "no declared effects"
 
 
@@ -158,7 +153,6 @@ def effect_table(
     atomics: tuple[str, ...] = (),
     launch: LaunchEnvelope | None = None,
     atomic_ops: int = 0,
-    reads_rng: bool = False,
 ) -> KernelEffects:
     """Build a well-formed effect table (writes are exclusive by design;
     racy non-exclusive writes must be constructed by hand — they are what
@@ -170,7 +164,6 @@ def effect_table(
         buffers=tuple(buffers),
         launch=launch,
         atomic_ops=atomic_ops,
-        reads_rng=reads_rng,
     )
 
 

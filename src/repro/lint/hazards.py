@@ -12,12 +12,9 @@ ops through their named buffers:
 * **HAZ003** — a read of a ``tmp:*`` transient no earlier op produced: a
   read-after-write hazard across a fusion boundary (the producer was fused
   away or reordered) or a plain use-before-def.
-* **HAZ004** — an rng-consuming op inside a content-fingerprinted plan:
-  the :class:`~repro.plan.cache.PlanCache` key cannot capture host
-  randomness, so a warm hit would silently replay stale random state.
 
-The plan argument is duck-typed (``.ops`` with ``.name``/``.effects``,
-``.fingerprint``) so this module never imports :mod:`repro.plan`.
+The plan argument is duck-typed (``.ops`` with ``.name``/``.effects``)
+so this module never imports :mod:`repro.plan`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ __all__ = ["hazard_findings"]
 
 
 def hazard_findings(plan: Any) -> list[Finding]:
-    """Def-use and cache-safety hazards of one lowered plan."""
+    """Undeclared-effect and def-use hazards of one lowered plan."""
     findings: list[Finding] = []
     defined: set[str] = set()  # transients materialized by earlier ops
     for op in plan.ops:
@@ -71,16 +68,6 @@ def hazard_findings(plan: Any) -> list[Finding]:
                         buffer=b.buffer,
                     )
                 )
-        if eff.reads_rng and plan.fingerprint is not None:
-            findings.append(
-                make_finding(
-                    "HAZ004",
-                    "op consumes host randomness inside a "
-                    "content-fingerprinted plan — a warm PlanCache hit "
-                    "would replay stale random state",
-                    op=op.name,
-                )
-            )
         for b in eff.buffers:
             if b.mode in ("write", "atomic"):
                 defined.add(b.buffer)

@@ -6,6 +6,10 @@ through :func:`make_finding` so a code's severity lives in exactly one
 place; the CLI ``--explain CODE`` helper and the README finding-code
 table render from the same entries.
 
+A code no program path can produce any more leaves :data:`RULES` for
+:data:`RETIRED`: it can no longer be emitted, but ``--explain`` still
+answers it with the reason it went.
+
 Like every lint module, this one never imports :mod:`repro.plan`.
 """
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 from .report import Finding
 
-__all__ = ["RULES", "RuleInfo", "explain", "make_finding", "rule_info"]
+__all__ = ["RETIRED", "RULES", "RuleInfo", "explain", "make_finding", "rule_info"]
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ def _rules(*infos: RuleInfo) -> dict[str, RuleInfo]:
 
 
 RULES: dict[str, RuleInfo] = _rules(
-    # -- hazards (def-use races, cache safety) --------------------------
+    # -- hazards (undeclared effects, def-use races) -------------------
     RuleInfo(
         "HAZ001", "error",
         "op declares no effect table — nothing about it can be checked",
@@ -47,11 +51,6 @@ RULES: dict[str, RuleInfo] = _rules(
     RuleInfo(
         "HAZ003", "error",
         "read of a tmp:* transient no earlier op produced (RAW across fusion)",
-        "hazards-haz",
-    ),
-    RuleInfo(
-        "HAZ004", "error",
-        "rng-consuming op inside a content-fingerprinted plan (stale cache replay)",
         "hazards-haz",
     ),
     # -- resources (launch envelope vs GPUSpec) -------------------------
@@ -84,11 +83,6 @@ RULES: dict[str, RuleInfo] = _rules(
     RuleInfo(
         "DET001", "warning",
         "atomic float merge — addition order follows hardware arrival order",
-        "determinism-det",
-    ),
-    RuleInfo(
-        "DET002", "warning",
-        "op consumes host randomness — reproducible only under a pinned generator",
         "determinism-det",
     ),
     # -- access patterns (coalescing / divergence / bounds) -------------
@@ -159,22 +153,6 @@ RULES: dict[str, RuleInfo] = _rules(
         "peak live footprint above 80% of HBM — allocator headroom is gone",
         "dataflow-shapelive",
     ),
-    # -- cross-stream happens-before races ------------------------------
-    RuleInfo(
-        "RACE001", "error",
-        "unordered cross-stream write-write on a shared buffer",
-        "cross-stream-races-race",
-    ),
-    RuleInfo(
-        "RACE002", "error",
-        "unordered cross-stream read-write on a shared buffer",
-        "cross-stream-races-race",
-    ),
-    RuleInfo(
-        "RACE003", "warning",
-        "cross-stream atomic-atomic merge — safe but order-nondeterministic",
-        "cross-stream-races-race",
-    ),
     # -- plan equivalence (translation validation) ----------------------
     RuleInfo(
         "EQ001", "error",
@@ -199,6 +177,21 @@ RULES: dict[str, RuleInfo] = _rules(
 )
 
 
+#: retired code -> the one-line reason no program can produce it
+RETIRED: dict[str, str] = {
+    "HAZ004": "no kernel op consumes host randomness, so no cached plan "
+    "can replay stale random state",
+    "DET002": "no kernel op consumes host randomness, so no plan's output "
+    "depends on a generator's state",
+    "RACE001": "concurrent batches share only buffers no op writes, so no "
+    "two streams write one buffer",
+    "RACE002": "concurrent batches share only buffers no op writes, so no "
+    "stream's read meets another stream's write",
+    "RACE003": "concurrent batches share only buffers no op writes, so no "
+    "two streams merge into one buffer",
+}
+
+
 def rule_info(code: str) -> RuleInfo:
     """The registry entry for ``code`` (KeyError for unknown codes)."""
     return RULES[code]
@@ -218,7 +211,14 @@ def make_finding(
 
 
 def explain(code: str) -> str:
-    """Multi-line human rendering of one registry entry (CLI --explain)."""
+    """Multi-line human rendering of one registry entry (CLI --explain);
+    a retired code renders with the reason it went."""
+    if code in RETIRED:
+        return (
+            f"{code} [retired]\n"
+            f"  {RETIRED[code]}\n"
+            "  docs: README.md#retired-codes"
+        )
     info = RULES[code]
     return (
         f"{info.code} [{info.severity}]\n"

@@ -289,8 +289,7 @@ class ElementwiseFusion(PlanPass):
     * both ops are ``modeled`` with effect + access tables and no atomics;
     * the producer writes exactly one buffer, a ``tmp:*`` transient;
     * the consumer reads it, and no *other* op in the plan reads or
-      writes it (including as a gather index buffer);
-    * neither op consumes host randomness.
+      writes it (including as a gather index buffer).
 
     The fused op is one launch: the profit is a whole dispatch + launch
     round-trip plus the eliminated store/load traffic of the transient.
@@ -334,8 +333,6 @@ class ElementwiseFusion(PlanPass):
             or ba is None
             or ae.atomics
             or be.atomics
-            or ae.reads_rng
-            or be.reads_rng
         ):
             return None
         if len(ae.writes) != 1:

@@ -302,8 +302,8 @@ class AutoTuner:
         seed: int = 0,
         store: TunedPlanStore | None = None,
     ) -> None:
-        if budget < 2:
-            raise ValueError("budget must be >= 2")
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self.budget = budget
         self.seed = seed
         self.store = store

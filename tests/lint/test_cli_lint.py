@@ -187,13 +187,6 @@ def test_lint_explain_typo_suggests_nearest_code():
     assert "did you mean SHAPE001?" in text
 
 
-def test_lint_explain_new_race_code():
-    rc, text = _run(["lint", "--explain", "race001"])
-    assert rc == 0
-    assert text.startswith("RACE001 [error]")
-    assert "README.md#cross-stream-races-race" in text
-
-
 # ----------------------------------------------------------------------
 # stale suppressions / --prune-baseline
 # ----------------------------------------------------------------------
@@ -242,15 +235,8 @@ def test_repo_baseline_has_no_stale_suppressions():
 
 
 # ----------------------------------------------------------------------
-# --streams race self-check and serve --lint preflight
+# serve --lint preflight
 # ----------------------------------------------------------------------
-def test_lint_streams_zero_disables_race_check():
-    rc, text = _run(["lint", "--streams", "0", "--system", "TLPGNN",
-                     "--model", "gcn", "--dataset", "CR", "--strict"])
-    assert rc == 0
-    assert "TLPGNN/gcn on CR: clean" in text
-
-
 def test_serve_lint_preflight_accepts_tlpgnn():
     rc, text = _run(["serve", "--dataset", "CR", "--model", "gcn",
                      "--lint", "--requests", "4"])

@@ -99,22 +99,6 @@ def test_golden_cells_are_shape_and_liveness_clean():
         assert not dataflow, (key, [f.render() for f in dataflow])
 
 
-def test_golden_serving_schedules_are_race_free():
-    """Two-stream serving of every supported cell is race-free, and the
-    static verdict matches the seeded vector-clock replay exactly."""
-    from repro.lint import cross_validate_races, lint_schedule, serving_schedule
-
-    for key, want in _cells():
-        if want is None:
-            continue
-        plan, _spec = _lower(key)
-        sched = serving_schedule(plan, num_streams=2, batches=2)
-        report = lint_schedule(sched)
-        races = [f for f in report.findings if f.rule.startswith("RACE")]
-        assert not races, (key, [f.render() for f in races])
-        assert cross_validate_races(sched, seed=0) == [], key
-
-
 def test_golden_footprints_render_symbolically():
     """Plans with declared shapes get a symbolic peak expression in the
     workload's (n, m, f) vocabulary."""

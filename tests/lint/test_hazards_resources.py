@@ -23,12 +23,11 @@ from repro.plan import ComputeStep, ExecutionPlan, KernelOp
 ENV = LaunchEnvelope(threads_per_block=128)
 
 
-def _plan(ops, fingerprint=None):
+def _plan(ops):
     return ExecutionPlan(
         system="X", model="m", graph_name="g", pipeline_name="p",
         ops=ops,
         compute=ComputeStep(workload=None),
-        fingerprint=fingerprint,
     )
 
 
@@ -94,16 +93,6 @@ def test_haz003_ordering_is_respected():
     ]
     assert lint_plan(_plan(ops)).ok
     assert not lint_plan(_plan(ops[::-1])).ok  # reversed: use before def
-
-
-def test_haz004_rng_read_only_under_fingerprint():
-    rng_op = _op("sampler", effect_table(
-        writes=("out",), launch=ENV, reads_rng=True))
-    fingerprinted = lint_plan(_plan([rng_op], fingerprint="abc"))
-    assert "HAZ004" in _rules(fingerprinted)
-    unkeyed = lint_plan(_plan([rng_op]))
-    assert "HAZ004" not in _rules(unkeyed)
-    assert "DET002" in _rules(unkeyed)  # still a determinism warning
 
 
 # ----------------------------------------------------------------------

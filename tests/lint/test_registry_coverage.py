@@ -7,29 +7,34 @@ Parametrized over ``repro.lint.registry.RULES``: each code must
 (b) be produced by at least one synthetic fixture in this file, and
 (c) round-trip through the ``lint --json`` row encoding with the
     registry's severity.
+
+Parametrized over ``repro.lint.registry.RETIRED``: each retired code
+can no longer be emitted, yet is still documented and explained.
 """
 
+import io
 import json
 import pathlib
 from dataclasses import replace
 
 import pytest
 
+from repro import cli
 from repro.gpusim.config import V100
 from repro.lint import (
+    RETIRED,
     RULES,
     KernelAccess,
-    ScheduledPlan,
-    StreamSchedule,
     access_findings,
     determinism_findings,
     finding_rows,
     hazard_findings,
     lint_plan,
     liveness_findings,
-    race_findings,
+    make_finding,
     resource_findings,
     rule_info,
+    sarif_rules,
     shape_findings,
 )
 from repro.lint.access import Affine, AccessPattern, gather, lane_stream
@@ -55,12 +60,11 @@ README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
 ENV = LaunchEnvelope(threads_per_block=128)
 
 
-def _plan(ops, workload=None, fingerprint=None):
+def _plan(ops, workload=None):
     return ExecutionPlan(
         system="X", model="m", graph_name="g", pipeline_name="p",
         ops=ops,
         compute=ComputeStep(workload=workload),
-        fingerprint=fingerprint,
     )
 
 
@@ -113,14 +117,6 @@ def _haz003():
     ]))
 
 
-def _haz004():
-    return hazard_findings(_plan(
-        [_op("drop", effect_table(writes=("out",), launch=ENV,
-                                  reads_rng=True))],
-        fingerprint="abc123",
-    ))
-
-
 def _res(env):
     return resource_findings(
         _plan([_op("k", effect_table(writes=("out",), launch=env))]), V100
@@ -130,13 +126,6 @@ def _res(env):
 def _det001():
     return determinism_findings(_plan([
         _op("merge", effect_table(atomics=("out",), launch=ENV)),
-    ]))
-
-
-def _det002():
-    return determinism_findings(_plan([
-        _op("drop", effect_table(writes=("out",), launch=ENV,
-                                 reads_rng=True)),
     ]))
 
 
@@ -286,38 +275,6 @@ def _live002():
     return liveness_findings(_live_plan(), replace(V100, dram_bytes=300))
 
 
-def _race_schedule(effects_a, effects_b, shared):
-    def entry(name, effects, stream, label):
-        return ScheduledPlan(
-            _plan([_op(name, effects)]), stream=stream, label=label,
-            shared=frozenset(shared),
-        )
-
-    return StreamSchedule(
-        entries=(entry("a_op", effects_a, 0, "a"),
-                 entry("b_op", effects_b, 1, "b")),
-        num_streams=2,
-    )
-
-
-def _race001():
-    eff = effect_table(writes=("shared_out", "out"), launch=ENV)
-    return race_findings(_race_schedule(eff, eff, {"shared_out"}))
-
-
-def _race002():
-    return race_findings(_race_schedule(
-        effect_table(reads=("stats",), writes=("out",), launch=ENV),
-        effect_table(writes=("stats", "out2"), launch=ENV),
-        {"stats"},
-    ))
-
-
-def _race003():
-    eff = effect_table(atomics=("hist",), writes=("out",), launch=ENV)
-    return race_findings(_race_schedule(eff, eff, {"hist"}))
-
-
 class _VGraph:
     """Duck-typed graph for normalize_plan (content fingerprint only)."""
 
@@ -386,7 +343,6 @@ FIXTURES = {
     "HAZ001": _haz001,
     "HAZ002": _haz002,
     "HAZ003": _haz003,
-    "HAZ004": _haz004,
     "RES001": lambda: _res(LaunchEnvelope(threads_per_block=2048)),
     "RES002": lambda: _res(LaunchEnvelope(threads_per_block=128,
                                           regs_per_thread=300)),
@@ -397,7 +353,6 @@ FIXTURES = {
     "RES005": lambda: _res(LaunchEnvelope(threads_per_block=256,
                                           shared_mem_per_block=90_000)),
     "DET001": _det001,
-    "DET002": _det002,
     "ACC001": _acc001,
     "ACC002": _acc002,
     "ACC003": _acc003,
@@ -411,9 +366,6 @@ FIXTURES = {
     "SHAPE004": _shape004,
     "LIVE001": _live001,
     "LIVE002": _live002,
-    "RACE001": _race001,
-    "RACE002": _race002,
-    "RACE003": _race003,
     "EQ001": _eq001,
     "EQ002": _eq002,
     "EQ003": _eq003,
@@ -421,6 +373,22 @@ FIXTURES = {
 }
 
 CODES = sorted(RULES)
+
+
+def _readme_sections(text):
+    """The README text under each heading, keyed by the heading's anchor."""
+    sections: dict[str, str] = {}
+    anchor = ""
+    for line in text.splitlines():
+        if line.startswith("#"):
+            anchor = "".join(
+                c for c in line.lstrip("#").strip().lower()
+                if c.isalnum() or c in " -"
+            ).replace(" ", "-")
+            sections[anchor] = ""
+        else:
+            sections[anchor] = sections.get(anchor, "") + line + "\n"
+    return sections
 
 
 def test_every_code_has_a_fixture_and_vice_versa():
@@ -433,12 +401,7 @@ def test_code_documented_in_readme(code):
     assert f"`{code}`" in text, f"{code} missing from README tables"
     # the registry's doc anchor must resolve to a real README heading
     anchor = rule_info(code).anchor
-    headings = {
-        "".join(c for c in line.lstrip("#").strip().lower()
-                if c.isalnum() or c in " -").replace(" ", "-")
-        for line in text.splitlines() if line.startswith("#")
-    }
-    assert anchor in headings, f"anchor #{anchor} not a README heading"
+    assert anchor in _readme_sections(text), f"anchor #{anchor} not a README heading"
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -476,3 +439,18 @@ def test_lint_plan_report_is_json_serializable_end_to_end():
         finding_rows(report.plan_label, report.findings)
     ))
     assert any(r["code"] == "SHAPE003" for r in rows)
+
+
+@pytest.mark.parametrize("code", sorted(RETIRED))
+def test_retired_code_contract(code):
+    """A retired code cannot be emitted again, is gone from the rule
+    tables, and still answers ``--explain`` under its README heading."""
+    assert code not in RULES
+    with pytest.raises(KeyError):
+        make_finding(code, "never emitted")
+    assert code not in {rule["id"] for rule in sarif_rules()}
+    out = io.StringIO()
+    assert cli.main(["lint", "--explain", code.lower()], out=out) == 0
+    assert out.getvalue().startswith(f"{code} [retired]")
+    retired = _readme_sections(README.read_text()).get("retired-codes", "")
+    assert f"`{code}`" in retired, f"{code} missing under README#retired-codes"

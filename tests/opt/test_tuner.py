@@ -93,9 +93,10 @@ class TestSearch:
         )
         assert result.fixed_ms == modeled_runtime_s(fixed, spec) * 1e3
 
-    def test_budget_floor_enforced(self):
+    def test_budget_floor_enforced(self, cell):
         with pytest.raises(ValueError):
-            AutoTuner(budget=1)
+            AutoTuner(budget=-1)
+        assert _tune(cell, budget=1).iterations <= 1
 
 
 class TestSearchDecision:

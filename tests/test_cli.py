@@ -410,6 +410,15 @@ class TestCommandTable:
             build_parser().parse_args([command, "--json", "--format", fmt])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["opt", "CR", "gcn"], ["verify"], ["tune"],
+    ])
+    def test_negative_budget_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--budget", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_readme_lists_every_command(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         listing = readme[readme.index("repro.cli         python -m repro {"):]
