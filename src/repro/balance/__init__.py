@@ -2,7 +2,7 @@
 distribution, the software task pool (Algorithm 1), and the heuristic
 chooser."""
 
-from .hardware import hardware_assignment, tune_warps_per_block
+from .hardware import hardware_assignment
 from .hybrid import (
     DEGREE_THRESHOLD,
     VERTEX_THRESHOLD,
@@ -13,7 +13,6 @@ from .software import software_assignment
 
 __all__ = [
     "hardware_assignment",
-    "tune_warps_per_block",
     "software_assignment",
     "choose_assignment",
     "hybrid_assignment",

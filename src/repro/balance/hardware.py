@@ -14,7 +14,7 @@ from ..gpusim.config import GPUSpec
 from ..gpusim.kernel import LaunchConfig
 from ..gpusim.scheduler import ScheduleResult, hardware_schedule
 
-__all__ = ["hardware_assignment", "tune_warps_per_block"]
+__all__ = ["hardware_assignment"]
 
 
 def hardware_assignment(
@@ -34,21 +34,3 @@ def hardware_assignment(
     )
     return hardware_schedule(vertex_cycles, launch, spec), launch
 
-
-def tune_warps_per_block(
-    vertex_cycles: np.ndarray,
-    spec: GPUSpec,
-    *,
-    candidates: tuple[int, ...] = (1, 2, 4, 8, 16),
-) -> int:
-    """Pick the warps-per-block minimizing the modeled makespan.
-
-    This is the balance-vs-scheduling-overhead trade-off the paper
-    describes; exposed so the ablation can sweep it.
-    """
-    best, best_span = candidates[0], float("inf")
-    for wpb in candidates:
-        sched, _ = hardware_assignment(vertex_cycles, spec, warps_per_block=wpb)
-        if sched.makespan_cycles < best_span:
-            best, best_span = wpb, sched.makespan_cycles
-    return best

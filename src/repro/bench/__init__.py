@@ -18,7 +18,6 @@ from .harness import (
 )
 from .report import TableResult, render_table
 from .serving import SERVING_SYSTEMS, serving_scenario, sustained_rate
-from .sweep import sweep_feature_dims, sweep_grid, sweep_scales
 from .tables import design_space, table1, table2, table3, table4, table5
 from .validate import CLAIMS, ClaimResult, judge_result, select_claims, validate_claims
 
@@ -40,9 +39,6 @@ __all__ = [
     "serving_scenario",
     "sustained_rate",
     "SERVING_SYSTEMS",
-    "sweep_feature_dims",
-    "sweep_scales",
-    "sweep_grid",
     "table1",
     "table2",
     "table3",

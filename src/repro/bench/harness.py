@@ -14,7 +14,6 @@ from ..frameworks.base import SystemProfile, SystemResult
 from ..gpusim.config import V100, GPUSpec, scaled_spec
 from ..graph.datasets import Dataset, load_dataset
 from ..graph.generators import make_features
-from ..models import MODEL_NAMES
 from ..obs.tracer import span
 
 __all__ = [
@@ -222,7 +221,3 @@ def run_comparison(
         name: run_system(factory(), model, cell.dataset, config, X=cell.X)
         for name, factory in (systems or SYSTEMS).items()
     }
-
-
-def all_models() -> tuple[str, ...]:
-    return MODEL_NAMES

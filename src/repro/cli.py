@@ -386,9 +386,6 @@ def cmd_experiment(args, config, out) -> int:
 
 
 def cmd_roofline(args, config, out) -> int:
-    from .gpusim.scheduler import ScheduleResult
-    from .plan import time_parts
-
     cell = load_cell(args.dataset, config)
     res = profile_system(
         SYSTEMS[args.system](), args.model, cell.dataset, config, X=cell.X
@@ -396,25 +393,15 @@ def cmd_roofline(args, config, out) -> int:
     if res is None:
         print("cell not supported", file=out)
         return 1
-    # re-estimate per kernel so each gets its own roofline point
     print(
         f"{args.system} / {args.model} / {args.dataset} "
         f"({res.report.kernel_launches} kernel(s)):",
         file=out,
     )
-    for stats in res.report.stats.kernels:
-        timing = next(
-            (k for k in res.report.timing.kernels if k.name == stats.name),
-            None,
-        )
-        if timing is None:
-            busy = float(stats.warp_cycles.sum())
-            sched = ScheduleResult(
-                makespan_cycles=busy if stats.warp_cycles.size else 1.0,
-                busy_warp_cycles=busy, overhead_cycles=0.0, num_units=1,
-                policy="report",
-            )
-            timing = time_parts([(stats, sched)], cell.spec)[0]
+    # the timings are built from the same parts as the stats, in order
+    for stats, timing in zip(
+        res.report.stats.kernels, res.report.timing.kernels, strict=True
+    ):
         print("  " + roofline(stats, timing, cell.spec).describe(), file=out)
     return 0
 

@@ -2,11 +2,7 @@
 block/pool scheduling, atomics, cost model, profiler, and an exact
 micro-simulator used to validate the analytical counters."""
 
-from .atomics import (
-    atomic_serialization_cycles,
-    expected_warp_conflicts,
-    scatter_collision_rate,
-)
+from .atomics import atomic_serialization_cycles, scatter_collision_rate
 from .config import A100, V100, GPUSpec, scaled_spec
 from .costmodel import (
     KernelTiming,
@@ -19,16 +15,13 @@ from .kernel import KernelStats, LaunchConfig, PipelineStats
 from .memory import (
     cached_dram_sectors,
     SectorCache,
-    contiguous_warp_sectors,
     scattered_rows_sectors,
     sectors_for_addresses,
-    sectors_for_span,
-    strided_column_sectors,
 )
 from .microsim import AddressMap, MicroSim
 from .occupancy import OccupancyReport, achieved_occupancy, theoretical_occupancy
 from .profiler import ProfileReport
-from .roofline import RooflinePoint, machine_balance, roofline
+from .roofline import RooflinePoint, roofline
 from .scheduler import (
     Placement,
     ScheduleResult,
@@ -69,11 +62,8 @@ __all__ = [
     "hardware_schedule",
     "software_pool_schedule",
     "static_schedule",
-    "sectors_for_span",
     "sectors_for_addresses",
-    "contiguous_warp_sectors",
     "scattered_rows_sectors",
-    "strided_column_sectors",
     "SectorCache",
     "cached_dram_sectors",
     "AddressMap",
@@ -81,9 +71,7 @@ __all__ = [
     "ProfileReport",
     "RooflinePoint",
     "roofline",
-    "machine_balance",
     "scatter_collision_rate",
     "atomic_serialization_cycles",
-    "expected_warp_conflicts",
     "warp_cycles",
 ]

@@ -17,7 +17,6 @@ from .config import GPUSpec
 __all__ = [
     "scatter_collision_rate",
     "atomic_serialization_cycles",
-    "expected_warp_conflicts",
 ]
 
 
@@ -39,19 +38,6 @@ def scatter_collision_rate(in_degrees: np.ndarray, window: int = 32) -> float:
         return 0.0
     per_vertex = deg / (deg + float(window))
     return float((per_vertex * deg).sum() / total)
-
-
-def expected_warp_conflicts(num_lanes: int, num_targets: int) -> float:
-    """Expected max multiplicity when ``num_lanes`` lanes atomically hit
-    ``num_targets`` uniformly-random addresses (intra-warp serialization
-    depth, birthday-problem style)."""
-    if num_lanes <= 1 or num_targets <= 0:
-        return 1.0
-    if num_targets == 1:
-        return float(num_lanes)
-    # Expected number of lanes per occupied address as a serialization proxy.
-    occupied = num_targets * (1.0 - (1.0 - 1.0 / num_targets) ** num_lanes)
-    return max(num_lanes / occupied, 1.0)
 
 
 def atomic_serialization_cycles(

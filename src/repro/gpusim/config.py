@@ -98,28 +98,6 @@ class GPUSpec:
     def sectors_per_line(self) -> int:
         return self.cache_line_bytes // self.sector_bytes
 
-    def occupancy_limit_blocks(self, threads_per_block: int, regs_per_thread: int,
-                               smem_per_block: int = 0) -> int:
-        """Max concurrent blocks per SM given the block's resource footprint."""
-        if threads_per_block <= 0:
-            raise ValueError("threads_per_block must be positive")
-        if threads_per_block > self.max_threads_per_block:
-            raise ValueError(
-                f"threads_per_block {threads_per_block} exceeds device limit "
-                f"{self.max_threads_per_block}"
-            )
-        warps = -(-threads_per_block // self.threads_per_warp)
-        by_warps = self.max_warps_per_sm // warps
-        by_regs = (
-            self.registers_per_sm // max(regs_per_thread * threads_per_block, 1)
-        )
-        by_smem = (
-            self.shared_mem_per_sm // smem_per_block
-            if smem_per_block > 0
-            else self.max_blocks_per_sm
-        )
-        return max(0, min(by_warps, by_regs, by_smem, self.max_blocks_per_sm))
-
 
 def scaled_spec(spec: "GPUSpec", scale: float) -> "GPUSpec":
     """Shrink the device together with a scaled-down dataset.

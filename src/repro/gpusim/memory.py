@@ -15,33 +15,11 @@ from collections import OrderedDict
 import numpy as np
 
 __all__ = [
-    "sectors_for_span",
     "sectors_for_addresses",
-    "contiguous_warp_sectors",
     "scattered_rows_sectors",
-    "strided_column_sectors",
     "cached_dram_sectors",
     "SectorCache",
 ]
-
-
-def sectors_for_span(
-    start_bytes: np.ndarray | int, nbytes: np.ndarray | int, sector_bytes: int = 32
-) -> np.ndarray | int:
-    """Sectors touched by contiguous byte span(s) ``[start, start+nbytes)``.
-
-    Vectorized over arrays of spans.  Zero-length spans touch zero sectors.
-    """
-    start = np.asarray(start_bytes, dtype=np.int64)
-    n = np.asarray(nbytes, dtype=np.int64)
-    if np.any(n < 0):
-        raise ValueError("span lengths must be non-negative")
-    first = start // sector_bytes
-    last = (start + n - 1) // sector_bytes
-    out = np.where(n > 0, last - first + 1, 0)
-    if out.ndim == 0:
-        return int(out)
-    return out
 
 
 def sectors_for_addresses(addresses: np.ndarray, itemsize: int, sector_bytes: int = 32) -> int:
@@ -64,21 +42,6 @@ def sectors_for_addresses(addresses: np.ndarray, itemsize: int, sector_bytes: in
     return int(np.unique(spans).size)
 
 
-def contiguous_warp_sectors(
-    active_lanes: int, itemsize: int = 4, sector_bytes: int = 32
-) -> int:
-    """Sectors for one warp request reading ``active_lanes`` consecutive items.
-
-    The perfectly coalesced pattern of the paper's feature parallelism:
-    lane ``t`` reads ``base + t*itemsize``.  Assumes sector-aligned base (the
-    common case for feature rows; misalignment adds at most one sector and is
-    covered by the micro-simulator).
-    """
-    if active_lanes <= 0:
-        return 0
-    return -(-active_lanes * itemsize // sector_bytes)
-
-
 def scattered_rows_sectors(
     active_lanes: int, row_stride_bytes: int, itemsize: int = 4, sector_bytes: int = 32
 ) -> int:
@@ -94,19 +57,6 @@ def scattered_rows_sectors(
     if row_stride_bytes >= sector_bytes:
         return active_lanes
     lanes_per_sector = max(sector_bytes // max(row_stride_bytes, itemsize), 1)
-    return -(-active_lanes // lanes_per_sector)
-
-
-def strided_column_sectors(
-    active_lanes: int, stride_bytes: int, itemsize: int = 4, sector_bytes: int = 32
-) -> int:
-    """Sectors for one warp request reading a strided column (lane ``t`` reads
-    ``base + t*stride``)."""
-    if active_lanes <= 0:
-        return 0
-    if stride_bytes >= sector_bytes:
-        return active_lanes
-    lanes_per_sector = sector_bytes // stride_bytes
     return -(-active_lanes // lanes_per_sector)
 
 

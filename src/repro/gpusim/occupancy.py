@@ -34,41 +34,6 @@ class OccupancyReport:
     limited_by: str
 
 
-def theoretical_occupancy(launch: LaunchConfig, spec: GPUSpec) -> OccupancyReport:
-    """Occupancy-calculator result for ``launch`` on ``spec``."""
-    warps_per_block = launch.warps_per_block(spec.threads_per_warp)
-    by_warps = spec.max_warps_per_sm // warps_per_block
-    by_regs = spec.registers_per_sm // max(
-        launch.regs_per_thread * launch.threads_per_block, 1
-    )
-    by_smem = (
-        spec.shared_mem_per_sm // launch.shared_mem_per_block
-        if launch.shared_mem_per_block > 0
-        else spec.max_blocks_per_sm
-    )
-    by_slots = spec.max_blocks_per_sm
-    limits = {
-        "warps": by_warps,
-        "registers": by_regs,
-        "shared_memory": by_smem,
-        "block_slots": by_slots,
-    }
-    limiter = min(limits, key=limits.get)
-    blocks = max(min(limits.values()), 0)
-    # A grid smaller than the device also caps resident blocks.
-    grid_blocks_per_sm = -(-launch.num_blocks // spec.num_sms)
-    if grid_blocks_per_sm < blocks:
-        blocks = grid_blocks_per_sm
-        limiter = "grid_size"
-    warps = blocks * warps_per_block
-    return OccupancyReport(
-        blocks_per_sm=blocks,
-        warps_per_sm=warps,
-        theoretical=min(warps / spec.max_warps_per_sm, 1.0),
-        limited_by=limiter,
-    )
-
-
 def envelope_occupancy(
     spec: GPUSpec,
     *,
@@ -78,12 +43,11 @@ def envelope_occupancy(
 ) -> OccupancyReport:
     """Grid-independent occupancy of a block resource *envelope*.
 
-    The static-lint variant of :func:`theoretical_occupancy`: no launch
-    exists yet, so there is no grid-size cap — only the per-block resource
-    footprint against the SM's structural limits.  Unlike
-    :meth:`GPUSpec.occupancy_limit_blocks`, this never raises on oversized
-    envelopes; it reports zero resident blocks and the binding limiter so
-    the resource sanitizer can turn that into a finding.
+    The one occupancy calculator: resident blocks per SM are the minimum
+    of the warp-slot, register, shared-memory and block-slot limits of the
+    per-block footprint.  It never raises on oversized envelopes; it
+    reports zero resident blocks and the binding limiter so the resource
+    sanitizer can turn that into a finding.
     """
     if threads_per_block < 1:
         raise ValueError("threads_per_block must be positive")
@@ -100,13 +64,38 @@ def envelope_occupancy(
         "block_slots": spec.max_blocks_per_sm,
     }
     limiter = min(limits, key=limits.get)
-    blocks = max(min(limits.values()), 0)
+    return _report(spec, max(min(limits.values()), 0), warps_per_block, limiter)
+
+
+def theoretical_occupancy(launch: LaunchConfig, spec: GPUSpec) -> OccupancyReport:
+    """Occupancy-calculator result for ``launch`` on ``spec``: its block
+    envelope's, capped by a grid smaller than the device."""
+    envelope = envelope_occupancy(
+        spec,
+        threads_per_block=launch.threads_per_block,
+        regs_per_thread=launch.regs_per_thread,
+        shared_mem_per_block=launch.shared_mem_per_block,
+    )
+    grid_blocks_per_sm = -(-launch.num_blocks // spec.num_sms)
+    if grid_blocks_per_sm >= envelope.blocks_per_sm:
+        return envelope
+    return _report(
+        spec,
+        grid_blocks_per_sm,
+        launch.warps_per_block(spec.threads_per_warp),
+        "grid_size",
+    )
+
+
+def _report(
+    spec: GPUSpec, blocks: int, warps_per_block: int, limited_by: str
+) -> OccupancyReport:
     warps = blocks * warps_per_block
     return OccupancyReport(
         blocks_per_sm=blocks,
         warps_per_sm=warps,
         theoretical=min(warps / spec.max_warps_per_sm, 1.0),
-        limited_by=limiter,
+        limited_by=limited_by,
     )
 
 

@@ -14,19 +14,7 @@ from .config import GPUSpec
 from .costmodel import KernelTiming
 from .kernel import KernelStats
 
-__all__ = ["RooflinePoint", "roofline", "machine_balance"]
-
-
-def machine_balance(spec: GPUSpec) -> float:
-    """FLOP/byte at which compute and bandwidth ceilings intersect.
-
-    Instruction throughput is taken as one warp-wide instruction per issue
-    slot per cycle (32 lane-ops each).
-    """
-    flops_per_s = (
-        spec.num_sms * spec.issue_slots_per_sm * spec.threads_per_warp * spec.clock_hz
-    )
-    return flops_per_s / spec.mem_bandwidth_bytes_per_s
+__all__ = ["RooflinePoint", "roofline"]
 
 
 @dataclass(frozen=True)

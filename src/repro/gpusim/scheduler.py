@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import GPUSpec
 from .kernel import LaunchConfig
+from .occupancy import envelope_occupancy
 
 __all__ = [
     "Placement",
@@ -207,10 +208,19 @@ def block_slots(launch: LaunchConfig, spec: GPUSpec) -> int:
     """The device's concurrent block slots for ``launch``: as many resident
     blocks per SM as occupancy allows, at least one.  Slot ``s`` lies on SM
     ``s % spec.num_sms``, so the distributor gives every SM a block before
-    it gives any SM a second."""
-    blocks_per_sm = spec.occupancy_limit_blocks(
-        launch.threads_per_block, launch.regs_per_thread, launch.shared_mem_per_block
-    )
+    it gives any SM a second.  A block above the device's thread limit
+    raises ``ValueError``."""
+    if launch.threads_per_block > spec.max_threads_per_block:
+        raise ValueError(
+            f"threads_per_block {launch.threads_per_block} exceeds device "
+            f"limit {spec.max_threads_per_block}"
+        )
+    blocks_per_sm = envelope_occupancy(
+        spec,
+        threads_per_block=launch.threads_per_block,
+        regs_per_thread=launch.regs_per_thread,
+        shared_mem_per_block=launch.shared_mem_per_block,
+    ).blocks_per_sm
     return max(spec.num_sms * max(blocks_per_sm, 1), 1)
 
 

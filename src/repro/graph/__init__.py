@@ -1,7 +1,7 @@
 """Graph substrate: CSR container, generators, dataset registry, reordering,
 and a lightweight partitioner."""
 
-from .csr import CSRGraph, from_edge_list, from_scipy
+from .csr import CSRGraph, from_edge_list
 from .datasets import (
     DATASET_ORDER,
     DATASETS,
@@ -19,26 +19,15 @@ from .generators import (
     empty,
     erdos_renyi,
     power_law,
-    regular,
-    rmat,
     star,
 )
 from .hetero import HeteroGraph, random_hetero
-from .io import (
-    from_networkx,
-    load_dataset_file,
-    load_graph,
-    save_dataset,
-    save_graph,
-    to_networkx,
-)
 from .partition import Partition, edge_cut, partition_kway
-from .reorder import ReorderResult, bfs_locality, degree_sort, identity_order
+from .reorder import ReorderResult, degree_sort
 
 __all__ = [
     "CSRGraph",
     "from_edge_list",
-    "from_scipy",
     "Dataset",
     "DatasetSpec",
     "DATASETS",
@@ -50,25 +39,15 @@ __all__ = [
     "sample_degree_sequence",
     "erdos_renyi",
     "power_law",
-    "rmat",
-    "regular",
     "star",
     "chain",
     "complete",
     "empty",
     "HeteroGraph",
-    "save_graph",
-    "load_graph",
-    "save_dataset",
-    "load_dataset_file",
-    "from_networkx",
-    "to_networkx",
     "random_hetero",
     "Partition",
     "partition_kway",
     "edge_cut",
     "ReorderResult",
     "degree_sort",
-    "bfs_locality",
-    "identity_order",
 ]

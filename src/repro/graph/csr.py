@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from ..identity import array_digest
 
-__all__ = ["CSRGraph", "from_edge_list", "from_scipy"]
+__all__ = ["CSRGraph", "from_edge_list"]
 
 #: largest vertex count :func:`from_edge_list` accepts: its sort key
 #: ``dst * num_vertices + src`` reaches ``num_vertices**2 - 1``, which fits
@@ -182,17 +182,6 @@ class CSRGraph:
             perm[src], perm[dst], self.num_vertices, name=f"{self.name}_perm"
         )
 
-    def subgraph(self, vertices: np.ndarray) -> "CSRGraph":
-        """Induced subgraph on ``vertices`` (relabelled to 0..k-1)."""
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        lut = np.full(self.num_vertices, -1, dtype=np.int64)
-        lut[vertices] = np.arange(len(vertices))
-        src, dst = self.edge_list()
-        keep = (lut[src] >= 0) & (lut[dst] >= 0)
-        return from_edge_list(
-            lut[src[keep]], lut[dst[keep]], len(vertices), name=f"{self.name}_sub"
-        )
-
     def induced_in_edges(
         self, targets: np.ndarray, *, name: str
     ) -> tuple["CSRGraph", np.ndarray]:
@@ -283,19 +272,5 @@ def from_edge_list(
         indptr=indptr,
         indices=key % num_vertices,
         num_vertices=num_vertices,
-        name=name,
-    )
-
-
-def from_scipy(mat: sp.spmatrix, *, name: str = "graph") -> CSRGraph:
-    """Build from any scipy sparse matrix (row = destination vertex)."""
-    csr = mat.tocsr()
-    if csr.shape[0] != csr.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    csr.sort_indices()
-    return CSRGraph(
-        indptr=csr.indptr.astype(np.int64),
-        indices=csr.indices.astype(np.int64),
-        num_vertices=csr.shape[0],
         name=name,
     )

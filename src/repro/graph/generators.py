@@ -18,8 +18,6 @@ __all__ = [
     "erdos_renyi",
     "erdos_renyi_edges",
     "power_law",
-    "rmat",
-    "regular",
     "regular_edges",
     "star",
     "chain",
@@ -133,51 +131,14 @@ def power_law(
     return from_edge_list(perm[src], perm[dst], num_vertices, name=name)
 
 
-def rmat(
-    scale: int,
-    edge_factor: int,
-    *,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int | None = 0,
-    name: str = "rmat",
-) -> CSRGraph:
-    """R-MAT generator (Graph500-style) — ``2**scale`` vertices.
-
-    Vectorized over all edges at once: each of the ``scale`` bit positions is
-    drawn for every edge in one shot.
-    """
-    if not 0 < a + b + c < 1:
-        raise ValueError("a+b+c must be in (0,1)")
-    rng = _rng(seed)
-    n = 1 << scale
-    m = n * edge_factor
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-    for _bit in range(scale):
-        r = rng.random(m)
-        src_bit = (r >= a + b).astype(np.int64)
-        r2 = rng.random(m)
-        # Conditional on the source bit, pick the destination bit from the
-        # matching quadrant probabilities.
-        p_top = np.where(src_bit == 0, a / (a + b), c / (1.0 - a - b))
-        dst_bit = (r2 >= p_top).astype(np.int64)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
-    if n > 1:
-        loops = src == dst
-        dst[loops] = (dst[loops] + 1) % n
-    return from_edge_list(src, dst, n, name=name)
-
-
 def regular_edges(
     num_vertices: int,
     degree: int,
     *,
     seed: int | np.random.Generator | None = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(src, dst)`` arrays of :func:`regular`, before the CSR."""
+    """``(src, dst)`` arrays in which every vertex has exactly ``degree``
+    in-neighbours (random sources, no self loops)."""
     rng = _rng(seed)
     dst = np.repeat(np.arange(num_vertices, dtype=np.int64), degree)
     src = rng.integers(0, num_vertices, size=num_vertices * degree, dtype=np.int64)
@@ -185,18 +146,6 @@ def regular_edges(
         loops = src == dst
         src[loops] = (src[loops] + 1) % num_vertices
     return src, dst
-
-
-def regular(
-    num_vertices: int,
-    degree: int,
-    *,
-    seed: int | None = 0,
-    name: str = "regular",
-) -> CSRGraph:
-    """Every vertex has exactly ``degree`` in-neighbours (random sources)."""
-    src, dst = regular_edges(num_vertices, degree, seed=seed)
-    return from_edge_list(src, dst, num_vertices, name=name)
 
 
 def star(num_vertices: int, *, name: str = "star") -> CSRGraph:

@@ -47,9 +47,6 @@ class HeteroGraph:
     def num_edges(self) -> int:
         return sum(g.num_edges for g in self.relations.values())
 
-    def relation(self, name: str) -> CSRGraph:
-        return self.relations[name]
-
     def merged(self) -> CSRGraph:
         """Union of all relations as one homogeneous graph (type-blind)."""
         srcs, dsts = [], []

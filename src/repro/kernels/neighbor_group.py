@@ -36,8 +36,7 @@ def build_groups(in_degrees: np.ndarray, group_size: int) -> np.ndarray:
     """Sizes of the fixed-size neighbour groups, vertex-major.
 
     A vertex of degree ``d`` yields ``ceil(d/group_size)`` groups: full
-    groups followed by the remainder.  Returned with a parallel array of
-    owning vertex ids via :func:`group_owners`.
+    groups followed by the remainder.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
@@ -52,13 +51,6 @@ def build_groups(in_degrees: np.ndarray, group_size: int) -> np.ndarray:
     has_rem = rem > 0
     sizes[ends[has_rem] - 1] = rem[has_rem]
     return sizes
-
-
-def group_owners(in_degrees: np.ndarray, group_size: int) -> np.ndarray:
-    """Owning vertex of each group (parallel to :func:`build_groups`)."""
-    d = np.asarray(in_degrees, dtype=np.int64)
-    counts = d // group_size + (d % group_size > 0)
-    return np.repeat(np.arange(d.size, dtype=np.int64), counts)
 
 
 class NeighborGroupKernel(ConvKernel):

@@ -3,7 +3,7 @@
 Checks every op's :class:`~repro.lint.effects.LaunchEnvelope` against the
 device's structural limits *before* any costing runs — the counter models
 assume a schedulable launch and would happily cost an impossible one
-(``GPUSpec.occupancy_limit_blocks`` raises on oversized blocks, so the
+(``gpusim.scheduler.block_slots`` raises on oversized blocks, so the
 structural checks here run first).
 
 * **RES001/RES002/RES003** (errors) — block size, registers per thread, or

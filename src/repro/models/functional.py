@@ -12,11 +12,9 @@ import numpy as np
 __all__ = [
     "relu",
     "leaky_relu",
-    "dropout",
     "linear",
     "xavier_uniform",
     "segment_sum",
-    "segment_mean",
     "segment_max",
     "segment_softmax",
     "softmax",
@@ -29,18 +27,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def leaky_relu(x: np.ndarray, negative_slope: float = 0.2) -> np.ndarray:
     return np.where(x >= 0, x, negative_slope * x)
-
-
-def dropout(
-    x: np.ndarray, p: float, rng: np.random.Generator, *, training: bool = True
-) -> np.ndarray:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must be in [0, 1)")
-    if not training or p == 0.0:
-        return x
-    mask = rng.random(x.shape) >= p
-    return x * mask / (1.0 - p)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -105,14 +91,6 @@ def _reduceat(ufunc, values: np.ndarray, indptr: np.ndarray, empty: float) -> np
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum ``values`` (E,...) over CSR segments → (n,...)."""
     return _reduceat(np.add, values, indptr, 0.0)
-
-
-def segment_mean(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Mean over CSR segments; empty segments yield zero."""
-    counts = np.diff(indptr).astype(np.float64)
-    s = segment_sum(values.astype(np.float64), indptr)
-    denom = np.maximum(counts, 1.0).reshape((-1, *([1] * (values.ndim - 1))))
-    return (s / denom).astype(values.dtype, copy=False)
 
 
 def segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

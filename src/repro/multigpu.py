@@ -48,10 +48,6 @@ class DeviceShard:
     gpu_seconds: float
 
     @property
-    def num_local(self) -> int:
-        return int(self.local_vertices.size)
-
-    @property
     def num_halo(self) -> int:
         return int(self.halo_vertices.size)
 

@@ -65,38 +65,14 @@ class LatencyAccountant:
     def completed(self) -> int:
         return len(self.records)
 
-    @property
-    def classes(self) -> list[str]:
-        """Job classes seen so far (sorted)."""
-        return sorted({r.request.compat_key for r in self.records})
+    def latencies_ms(self) -> np.ndarray:
+        return np.array([r.latency_s * 1e3 for r in self.records])
 
-    def latencies_ms(self, klass: str | None = None) -> np.ndarray:
-        return np.array(
-            [
-                r.latency_s * 1e3
-                for r in self.records
-                if klass is None or r.request.compat_key == klass
-            ]
-        )
-
-    def percentile_ms(self, p: float, klass: str | None = None) -> float:
-        lat = self.latencies_ms(klass)
+    def percentile_ms(self, p: float) -> float:
+        lat = self.latencies_ms()
         if lat.size == 0:
             return 0.0
         return float(np.percentile(lat, p))
-
-    def class_stats(self) -> dict[str, dict]:
-        """Per-class latency summary (count / p50 / p99 / mean, ms)."""
-        out = {}
-        for klass in self.classes:
-            lat = self.latencies_ms(klass)
-            out[klass] = {
-                "completed": int(lat.size),
-                "p50_ms": float(np.percentile(lat, 50)),
-                "p99_ms": float(np.percentile(lat, 99)),
-                "mean_ms": float(lat.mean()),
-            }
-        return out
 
     @property
     def mean_ms(self) -> float:

@@ -54,7 +54,3 @@ class AdmissionController:
                 f"release({count}) with {self.in_system} in system"
             )
         self.in_system -= count
-
-    @property
-    def saturated(self) -> bool:
-        return self.in_system >= self.queue_depth

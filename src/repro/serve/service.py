@@ -130,10 +130,6 @@ class ServeReport:
     #: the config declares no SLO
     slo: dict | None = None
 
-    @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.arrived if self.arrived else 0.0
-
     def publish(
         self, registry: MetricsRegistry | None = None, **labels: str
     ) -> None:

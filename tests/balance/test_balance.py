@@ -10,7 +10,6 @@ from repro.balance import (
     hardware_assignment,
     hybrid_assignment,
     software_assignment,
-    tune_warps_per_block,
 )
 from repro.gpusim import V100, place, software_pool_schedule
 
@@ -140,12 +139,6 @@ class TestAssignments:
         cycles = np.ones(10_000)
         _sched, launch = software_assignment(cycles, V100, warps_per_block=8)
         assert launch.num_warps() == V100.max_resident_warps
-
-    def test_tune_warps_per_block_returns_candidate(self):
-        rng = np.random.default_rng(4)
-        cycles = rng.pareto(1.5, size=3000) * 10 + 1
-        best = tune_warps_per_block(cycles, V100)
-        assert best in (1, 2, 4, 8, 16)
 
     def test_software_wins_on_heavy_degree(self):
         """The paper's observation: heavy per-vertex work amortizes the pool

@@ -13,6 +13,7 @@ from repro.bench import (
     fig12,
     get_dataset,
     judge_result,
+    profile_system,
     run_comparison,
     table1,
     table2,
@@ -21,9 +22,16 @@ from repro.bench import (
     table5,
 )
 from repro.bench.report import TableResult, render_table
+from repro.frameworks import SYSTEMS
 
 CFG = BenchConfig(max_edges=60_000, seed=7)
 CFG128 = BenchConfig(feat_dim=128, max_edges=60_000, seed=7)
+
+
+def _tlpgnn_gcn_ms(abbr, **config):
+    cfg = BenchConfig(seed=7, **config)
+    ds = get_dataset(abbr, cfg)
+    return profile_system(SYSTEMS["TLPGNN"](), "gcn", ds, cfg).runtime_ms
 
 
 class TestRenderer:
@@ -139,3 +147,14 @@ class TestHarness:
         cfg = BenchConfig(max_edges=60_000, seed=7, scale_device=False)
         ds = get_dataset("RD", cfg)
         assert cfg.spec_for(ds) is cfg.spec
+
+    def test_feature_dim_sweep_monotone(self):
+        narrow = _tlpgnn_gcn_ms("PI", feat_dim=16, max_edges=60_000)
+        wide = _tlpgnn_gcn_ms("PI", feat_dim=64, max_edges=60_000)
+        assert narrow < wide
+
+    def test_scale_sensitivity_bounded(self):
+        a = _tlpgnn_gcn_ms("RD", max_edges=60_000)
+        b = _tlpgnn_gcn_ms("RD", max_edges=240_000)
+        # device scaling keeps modeled time within a small factor across scales
+        assert max(a, b) / min(a, b) < 3.0

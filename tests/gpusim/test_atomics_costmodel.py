@@ -11,7 +11,6 @@ from repro.gpusim import (
     atomic_serialization_cycles,
     estimate_kernel,
     estimate_pipeline,
-    expected_warp_conflicts,
     scatter_collision_rate,
 )
 from repro.gpusim.scheduler import ScheduleResult
@@ -36,17 +35,6 @@ class TestCollisionRate:
 
     def test_degree_one_rarely_collides(self):
         assert scatter_collision_rate(np.ones(1000)) < 0.05
-
-
-class TestWarpConflicts:
-    def test_single_target_serializes_fully(self):
-        assert expected_warp_conflicts(32, 1) == 32.0
-
-    def test_many_targets_no_conflict(self):
-        assert expected_warp_conflicts(32, 10_000_000) == pytest.approx(1.0, rel=0.01)
-
-    def test_one_lane(self):
-        assert expected_warp_conflicts(1, 5) == 1.0
 
 
 class TestSerializationCycles:

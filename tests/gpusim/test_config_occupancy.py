@@ -8,9 +8,11 @@ from repro.gpusim import (
     GPUSpec,
     LaunchConfig,
     achieved_occupancy,
+    block_slots,
     scaled_spec,
     theoretical_occupancy,
 )
+from repro.gpusim.occupancy import envelope_occupancy
 
 
 class TestSpec:
@@ -26,20 +28,26 @@ class TestSpec:
 
     def test_occupancy_limit_by_warps(self):
         # 1024-thread blocks = 32 warps -> 2 blocks fill 64 warp slots
-        assert V100.occupancy_limit_blocks(1024, 32) == 2
+        occ = envelope_occupancy(V100, threads_per_block=1024, regs_per_thread=32)
+        assert occ.blocks_per_sm == 2
 
     def test_occupancy_limit_by_registers(self):
         # 128 regs/thread, 512 threads = 65536 regs = exactly one block
-        assert V100.occupancy_limit_blocks(512, 128) == 1
+        occ = envelope_occupancy(V100, threads_per_block=512, regs_per_thread=128)
+        assert occ.blocks_per_sm == 1
 
     def test_occupancy_limit_by_smem(self):
-        assert V100.occupancy_limit_blocks(64, 16, smem_per_block=48 * 1024) == 2
+        occ = envelope_occupancy(
+            V100, threads_per_block=64, regs_per_thread=16,
+            shared_mem_per_block=48 * 1024,
+        )
+        assert occ.blocks_per_sm == 2
 
     def test_bad_threads(self):
         with pytest.raises(ValueError):
-            V100.occupancy_limit_blocks(0, 32)
-        with pytest.raises(ValueError):
-            V100.occupancy_limit_blocks(2048, 32)
+            envelope_occupancy(V100, threads_per_block=0)
+        with pytest.raises(ValueError, match="exceeds device limit"):
+            block_slots(LaunchConfig(num_blocks=1, threads_per_block=2048), V100)
 
 
 class TestScaledSpec:

@@ -2,40 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.gpusim import (
     SectorCache,
     cached_dram_sectors,
-    contiguous_warp_sectors,
     scattered_rows_sectors,
     sectors_for_addresses,
-    sectors_for_span,
-    strided_column_sectors,
 )
-
-
-class TestSpans:
-    def test_aligned_span(self):
-        assert sectors_for_span(0, 32) == 1
-        assert sectors_for_span(0, 33) == 2
-        assert sectors_for_span(0, 128) == 4
-
-    def test_unaligned_span_crosses_boundary(self):
-        assert sectors_for_span(30, 4) == 2
-        assert sectors_for_span(31, 1) == 1
-
-    def test_zero_length(self):
-        assert sectors_for_span(100, 0) == 0
-
-    def test_vectorized(self):
-        out = sectors_for_span(np.array([0, 30, 64]), np.array([32, 4, 0]))
-        assert out.tolist() == [1, 2, 0]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sectors_for_span(0, -1)
 
 
 class TestAddresses:
@@ -61,16 +34,6 @@ class TestAddresses:
 
 
 class TestPatternFormulas:
-    def test_contiguous_full_warp(self):
-        assert contiguous_warp_sectors(32, 4) == 4
-
-    def test_contiguous_half_warp(self):
-        assert contiguous_warp_sectors(16, 4) == 2
-
-    def test_contiguous_small(self):
-        assert contiguous_warp_sectors(4, 4) == 1
-        assert contiguous_warp_sectors(0, 4) == 0
-
     def test_scattered_wide_rows(self):
         # rows >= one sector apart: every lane its own sector
         assert scattered_rows_sectors(32, 128) == 32
@@ -79,11 +42,6 @@ class TestPatternFormulas:
     def test_scattered_narrow_rows_share(self):
         # rows of 16B: two lanes per sector
         assert scattered_rows_sectors(32, 16) == 16
-
-    def test_strided(self):
-        assert strided_column_sectors(32, 128) == 32
-        assert strided_column_sectors(32, 16) == 16
-        assert strided_column_sectors(0, 4) == 0
 
     def test_formula_matches_exact_counting(self):
         # scattered formula == exact unique-sector count for row gathers
@@ -166,10 +124,3 @@ class TestSectorCache:
         with pytest.raises(ValueError):
             SectorCache(16)
 
-
-@given(start=st.integers(0, 10_000), nbytes=st.integers(0, 4096))
-@settings(max_examples=60, deadline=None)
-def test_span_equals_exhaustive(start, nbytes):
-    """Span formula == counting distinct sectors of every byte."""
-    expected = len({b // 32 for b in range(start, start + nbytes)})
-    assert sectors_for_span(start, nbytes) == expected

@@ -17,6 +17,7 @@ from repro.gpusim import (
     software_pool_schedule,
     static_schedule,
 )
+from repro.gpusim.occupancy import envelope_occupancy
 
 
 class TestGreedyMakespan:
@@ -289,9 +290,11 @@ def test_block_costs_are_the_slowest_warp():
     # more blocks than slots, and a short last block
     cycles = rng.uniform(1.0, 100.0, 20_001)
     launch = LaunchConfig(num_blocks=1, threads_per_block=4 * 32)
-    slots = V100.num_sms * V100.occupancy_limit_blocks(
-        launch.threads_per_block, launch.regs_per_thread, 0
-    )
+    slots = V100.num_sms * envelope_occupancy(
+        V100,
+        threads_per_block=launch.threads_per_block,
+        regs_per_thread=launch.regs_per_thread,
+    ).blocks_per_sm
     blocks = np.pad(cycles, (0, 3)).reshape(-1, 4).max(axis=1)
     expected = _heap_makespan(blocks + V100.block_schedule_cycles, slots)
     assert hardware_schedule(cycles, launch, V100).makespan_cycles == expected

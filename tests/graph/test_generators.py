@@ -10,11 +10,11 @@ from repro.graph import (
     complete,
     empty,
     erdos_renyi,
+    from_edge_list,
     power_law,
-    regular,
-    rmat,
     star,
 )
+from repro.graph.generators import regular_edges
 
 
 class TestErdosRenyi:
@@ -75,30 +75,12 @@ class TestPowerLaw:
         assert not np.any(src == dst)
 
 
-class TestRmat:
-    def test_vertex_count_power_of_two(self):
-        g = rmat(6, 4, seed=0)
-        assert g.num_vertices == 64
-        assert g.num_edges == 64 * 4
-
-    def test_skewed(self):
-        g = rmat(8, 8, seed=1)
-        assert g.in_degrees.max() > 3 * g.in_degrees.mean()
-
-    def test_invalid_probabilities(self):
-        with pytest.raises(ValueError):
-            rmat(4, 2, a=0.5, b=0.4, c=0.3)
-
-    def test_deterministic(self):
-        a = rmat(5, 3, seed=7)
-        b = rmat(5, 3, seed=7)
-        assert np.array_equal(a.indices, b.indices)
-
-
 class TestRegularAndPathological:
     def test_regular_degrees(self):
-        g = regular(64, 5, seed=0)
+        g = from_edge_list(*regular_edges(64, 5, seed=0), 64)
         assert np.all(g.in_degrees == 5)
+        src, dst = g.edge_list()
+        assert not np.any(src == dst)
 
     def test_star_degrees(self):
         g = star(10)

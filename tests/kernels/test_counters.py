@@ -15,7 +15,6 @@ from repro.kernels import (
     feature_rounds,
     three_kernel_gat_stats,
 )
-from repro.kernels.neighbor_group import group_owners
 from repro.models import reference_aggregate
 
 from ..conftest import make_workload
@@ -39,8 +38,6 @@ class TestHelpers:
     def test_build_groups(self):
         sizes = build_groups(np.array([0, 1, 5, 8]), 4)
         assert sizes.tolist() == [1, 4, 1, 4, 4]
-        owners = group_owners(np.array([0, 1, 5, 8]), 4)
-        assert owners.tolist() == [1, 2, 2, 3, 3]
 
     def test_build_groups_validates(self):
         with pytest.raises(ValueError):

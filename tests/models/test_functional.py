@@ -27,22 +27,6 @@ class TestActivations:
         s = F.softmax(np.array([1000.0, 1000.0]))
         np.testing.assert_allclose(s, [0.5, 0.5])
 
-    def test_dropout_identity_eval(self, rng):
-        x = np.ones((4, 4))
-        assert np.array_equal(F.dropout(x, 0.5, rng, training=False), x)
-        assert np.array_equal(F.dropout(x, 0.0, rng), x)
-
-    def test_dropout_scales(self, rng):
-        x = np.ones((2000,))
-        out = F.dropout(x, 0.5, rng)
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)
-        assert out.mean() == pytest.approx(1.0, rel=0.1)
-
-    def test_dropout_validates_p(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(np.ones(3), 1.0, rng)
-
     def test_linear(self):
         x = np.eye(3, dtype=np.float32)
         w = np.arange(9, dtype=np.float32).reshape(3, 3)
@@ -79,10 +63,6 @@ class TestSegmentOps:
     def test_segment_sum(self, segments):
         v, p = segments
         np.testing.assert_allclose(F.segment_sum(v, p), [6.0, 0.0, 8.0, 9.0])
-
-    def test_segment_mean(self, segments):
-        v, p = segments
-        np.testing.assert_allclose(F.segment_mean(v, p), [2.0, 0.0, 2.0, 9.0])
 
     def test_segment_max(self, segments):
         v, p = segments
@@ -140,10 +120,5 @@ def test_segment_ops_match_naive(lengths, seed):
     np.testing.assert_allclose(
         F.segment_max(values, indptr),
         _naive_segment(values, indptr, np.max, 0.0),
-        rtol=1e-9, atol=1e-9,
-    )
-    np.testing.assert_allclose(
-        F.segment_mean(values, indptr),
-        _naive_segment(values, indptr, np.mean, 0.0),
         rtol=1e-9, atol=1e-9,
     )

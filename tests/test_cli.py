@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from repro.cli import COMMANDS, build_parser, main
 
 ARGS = ["--max-edges", "60000", "--seed", "7"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -36,6 +40,27 @@ class TestCommands:
         code, out = run_cli(*ARGS, "datasets")
         assert code == 0
         assert "Reddit" in out and "Citeseer" in out
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        # the reader closes the pipe before the first write, as `| head` can
+        env = {
+            key: value for key, value in os.environ.items()
+            if key != "PYTHONUNBUFFERED"
+        }
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]
+        )
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *ARGS, "datasets"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert proc.returncode == 1
 
     def test_run_summary(self):
         code, out = run_cli(*ARGS, "run", "--system", "TLPGNN", "--model", "gcn",

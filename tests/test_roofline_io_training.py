@@ -1,17 +1,9 @@
-"""Roofline classification, graph serialization, and GCN training."""
+"""Roofline classification and GCN training."""
 
 import numpy as np
 import pytest
 
-from repro.gpusim import V100, machine_balance, roofline
-from repro.graph import (
-    erdos_renyi,
-    load_dataset,
-    load_dataset_file,
-    load_graph,
-    save_dataset,
-    save_graph,
-)
+from repro.gpusim import V100, roofline
 from repro.kernels import EdgeCentricKernel, TLPGNNKernel
 from repro.models import GCNClassifier, cross_entropy, normalized_adjacency
 
@@ -19,10 +11,6 @@ from .conftest import make_workload
 
 
 class TestRoofline:
-    def test_machine_balance_positive(self):
-        mb = machine_balance(V100)
-        assert 0.1 < mb < 100
-
     def test_bandwidth_bound_kernel(self, small_random):
         wl = make_workload(small_random, "gcn", 128)
         res = TLPGNNKernel(assignment="hardware").execute(wl)
@@ -47,36 +35,6 @@ class TestRoofline:
         ai_lo = roofline(r_lo.stats, r_lo.timing, V100).arithmetic_intensity
         ai_hi = roofline(r_hi.stats, r_hi.timing, V100).arithmetic_intensity
         assert ai_hi < ai_lo  # big rows move more bytes per instruction
-
-
-class TestGraphIO:
-    def test_graph_roundtrip(self, tmp_path, small_random):
-        p = save_graph(small_random, tmp_path / "g")
-        assert p.suffix == ".npz"
-        back = load_graph(p)
-        assert np.array_equal(back.indptr, small_random.indptr)
-        assert np.array_equal(back.indices, small_random.indices)
-        assert back.name == small_random.name
-
-    def test_dataset_roundtrip(self, tmp_path):
-        ds = load_dataset("PD")
-        p = save_dataset(ds, tmp_path / "pd.npz")
-        back = load_dataset_file(p)
-        assert back.abbr == "PD"
-        assert back.scale == ds.scale
-        assert np.array_equal(back.graph.indices, ds.graph.indices)
-        assert back.full_num_vertices == ds.full_num_vertices
-
-    def test_load_validates(self, tmp_path, small_random):
-        # a corrupted file (indices mismatch) must fail CSR validation
-        import json
-
-        p = save_graph(small_random, tmp_path / "g")
-        data = dict(np.load(p))
-        data["indices"] = data["indices"][:-1]
-        np.savez(p, **data)
-        with pytest.raises(ValueError):
-            load_graph(p)
 
 
 def _community_task(rng, n=120, classes=3):
@@ -182,42 +140,3 @@ class TestTraining:
         b.train(g, X, labels, epochs=30, lr=0.1, weight_decay=0.5)
         assert np.linalg.norm(b.w1) < np.linalg.norm(a.w1)
 
-
-class TestNetworkXBridge:
-    def test_roundtrip_directed(self, small_random):
-        import networkx as nx
-
-        from repro.graph import from_networkx, to_networkx
-
-        nxg = to_networkx(small_random)
-        back = from_networkx(nxg)
-        # parallel edges collapse in NetworkX; compare unique edge sets
-        import numpy as np
-
-        ours = set(zip(*map(lambda a: a.tolist(), small_random.edge_list()), strict=True))
-        theirs = set(zip(*map(lambda a: a.tolist(), back.edge_list()), strict=True))
-        assert ours == theirs
-
-    def test_undirected_symmetrized(self):
-        import networkx as nx
-
-        from repro.graph import from_networkx
-
-        g = from_networkx(nx.path_graph(4))
-        assert g.num_edges == 6  # 3 undirected edges, both directions
-        assert 1 in g.neighbors(0) and 0 in g.neighbors(1)
-
-    def test_karate_runs_through_kernel(self):
-        import networkx as nx
-        import numpy as np
-
-        from repro.graph import from_networkx
-        from repro.kernels import TLPGNNKernel
-        from repro.models import build_conv
-
-        g = from_networkx(nx.karate_club_graph())
-        X = np.random.default_rng(0).standard_normal((34, 8), dtype=np.float32)
-        wl = build_conv("gcn", g, X)
-        stats, _ = TLPGNNKernel().analyze(wl)
-        stats.validate()
-        assert stats.load_requests > 0 and stats.atomic_ops == 0
